@@ -70,7 +70,7 @@ void bush_to_gap(benchmark::State& state, const NetworkInstance& inst,
   int iters = 0;
   for (auto _ : state) {
     const BushResult r = solve_bush(inst, FlowObjective::kBeckmann, {}, opts);
-    if (!r.converged) state.SkipWithError("bush failed to converge");
+    if (!solve_ok(r.status)) state.SkipWithError("bush failed to converge");
     gap = r.rel_gap;
     iters = r.iterations;
     benchmark::DoNotOptimize(r.objective);

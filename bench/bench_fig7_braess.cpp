@@ -17,6 +17,7 @@
 #include "stackroute/io/table.h"
 #include "stackroute/network/generators.h"
 #include "stackroute/util/build_info.h"
+#include "stackroute/util/numeric.h"
 
 int main() {
   // Figure reproductions are only comparable from Release builds; make
@@ -66,7 +67,9 @@ int main() {
   // demonstrate with SCALE at alpha slightly below beta, vs MOP at beta.
   const double eps = 0.05;
   const NetworkInstance inst = fig7_instance(eps);
-  const NetworkAssignment opt = solve_optimum(inst);
+  const EquilibriumResult opt =
+      solve_equilibrium(inst, FlowObjective::kTotalCost);
+  const double opt_cost = cost(inst, opt.edge_flow);
   const MopResult r = mop(inst);
   Table lb({"strategy", "alpha", "C(S+T)/C(O)"});
   for (double alpha : {0.3, 0.5, r.beta}) {
@@ -74,9 +77,11 @@ int main() {
     for (double& v : preload) v *= alpha;
     NetworkInstance followers = inst;
     followers.commodities[0].demand = 1.0 - alpha;
-    const NetworkAssignment induced = solve_induced(followers, preload);
+    const EquilibriumResult induced =
+        solve_equilibrium(followers, FlowObjective::kBeckmann, preload);
+    const double induced_cost = cost(inst, add(preload, induced.edge_flow));
     lb.add_row({"SCALE", format_double(alpha, 4),
-                format_double(induced.cost / opt.cost, 6)});
+                format_double(induced_cost / opt_cost, 6)});
   }
   lb.add_row({"MOP", format_double(r.beta, 4),
               format_double(r.induced_cost / r.optimum_cost, 6)});

@@ -30,7 +30,7 @@ void annotate(benchmark::State& state, const NetworkInstance& inst) {
 
 void BM_GridNashEquilibration(benchmark::State& state) {
   const NetworkInstance inst = grid_instance(static_cast<int>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(solve_nash(inst));
+  for (auto _ : state) benchmark::DoNotOptimize(solve_equilibrium(inst));
   annotate(state, inst);
 }
 BENCHMARK(BM_GridNashEquilibration)->Arg(4)->Arg(8)->Arg(12)->Arg(16)

@@ -39,7 +39,7 @@ int main() {
     sweep::ScenarioSpec spec;
     spec.name = "mm1-homogenize";
     spec.grid.add("mu_fast / mu_slow", {8.0, 4.0, 2.0, 1.5, 1.1, 1.0001});
-    spec.factory = [&](const sweep::ParamPoint& p, Rng&) -> sweep::Instance {
+    spec.factory = [&](const sweep::ParamPoint& p, Rng&) -> engine::Instance {
       // 5 fast + 5 slow, capacities normalized to total 20.
       const double ratio = p.get("mu_fast / mu_slow");
       const double slow_mu = total_capacity / (5.0 * (1.0 + ratio));

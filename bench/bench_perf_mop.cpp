@@ -18,7 +18,8 @@ void BM_SolveOptimumGrid(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const NetworkInstance inst = grid_city(rng, n, n, 2.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solve_optimum(inst));
+    benchmark::DoNotOptimize(
+        solve_equilibrium(inst, FlowObjective::kTotalCost));
   }
   state.SetComplexityN(inst.graph.num_edges());
 }

@@ -31,7 +31,8 @@ int main() {
     spec.grid.add_range("links", 2, 9)
         .add_linspace("demand", 0.5, 1.4, 10)
         .add_range("replicate", 0, 2);
-    spec.factory = [](const sweep::ParamPoint& p, Rng& rng) -> sweep::Instance {
+    spec.factory = [](const sweep::ParamPoint& p,
+                      Rng& rng) -> engine::Instance {
       return random_affine_links(rng, p.get_int("links"), p.get("demand"));
     };
     spec.metrics = {sweep::metric_poa()};
@@ -58,7 +59,7 @@ int main() {
     sweep::ScenarioSpec spec;
     spec.name = "pigou-degree";
     spec.grid.add("degree d", {1, 2, 4, 8, 16, 32});
-    spec.factory = [](const sweep::ParamPoint& p, Rng&) -> sweep::Instance {
+    spec.factory = [](const sweep::ParamPoint& p, Rng&) -> engine::Instance {
       return pigou_nonlinear(p.get_int("degree d"));
     };
     spec.metrics = {

@@ -28,10 +28,10 @@ sweep::ScenarioSpec parallel_alpha_spec(int points) {
   spec.name = "strategy-alpha-parallel";
   spec.grid.add_linspace("alpha", 0.0, 1.0, points);
   Rng rng(9);
-  auto prototype = std::make_shared<sweep::Instance>(
+  auto prototype = std::make_shared<engine::Instance>(
       random_polynomial_links(rng, 32, 8.0));
   spec.factory = [prototype](const sweep::ParamPoint&,
-                             Rng&) -> sweep::Instance { return *prototype; };
+                             Rng&) -> engine::Instance { return *prototype; };
   spec.metrics = sweep::strategy_metrics();
   spec.warm_axis = "alpha";
   return spec;
@@ -41,10 +41,10 @@ sweep::ScenarioSpec grid_alpha_spec(int points) {
   sweep::ScenarioSpec spec;
   spec.name = "strategy-alpha-grid";
   spec.grid.add_linspace("alpha", 0.0, 1.0, points);
-  auto prototype = std::make_shared<sweep::Instance>(
+  auto prototype = std::make_shared<engine::Instance>(
       gen::generate(gen::sized_spec("grid-bpr", 8), 7));
   spec.factory = [prototype](const sweep::ParamPoint&,
-                             Rng&) -> sweep::Instance { return *prototype; };
+                             Rng&) -> engine::Instance { return *prototype; };
   spec.metrics = sweep::strategy_metrics();
   spec.warm_axis = "alpha";
   return spec;

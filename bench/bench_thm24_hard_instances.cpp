@@ -47,7 +47,7 @@ int main() {
     sweep::ScenarioSpec spec;
     spec.name = "thm24-alpha";
     spec.grid.add("alpha/beta", {0.0, 0.25, 0.5, 0.75, 0.9, 1.0});
-    spec.factory = [&m](const sweep::ParamPoint&, Rng&) -> sweep::Instance {
+    spec.factory = [&m](const sweep::ParamPoint&, Rng&) -> engine::Instance {
       return m;
     };
     // Several columns read the same expensive solves; TaskEval::cached
@@ -101,7 +101,7 @@ int main() {
     sweep::ScenarioSpec spec;
     spec.name = "threshold-budget";
     spec.grid.add("budget factor", {0.5, 0.9, 0.999, 1.2, 1.5, 2.5});
-    spec.factory = [&hard](const sweep::ParamPoint&, Rng&) -> sweep::Instance {
+    spec.factory = [&hard](const sweep::ParamPoint&, Rng&) -> engine::Instance {
       return hard;
     };
     auto best_cost = [threshold](sweep::TaskEval& e) {

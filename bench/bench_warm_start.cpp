@@ -28,11 +28,11 @@ sweep::ScenarioSpec mm1_demand_spec(int points) {
   sweep::ScenarioSpec spec;
   spec.name = "mm1-beta-demand";
   spec.grid.add_linspace("demand", 11.0, 17.0, points);
-  auto prototype = std::make_shared<sweep::Instance>(
+  auto prototype = std::make_shared<engine::Instance>(
       mm1_two_groups(12, 1.0, 28, 8.0 / 28.0, 11.0));
   spec.factory = [prototype](const sweep::ParamPoint& p,
-                             Rng&) -> sweep::Instance {
-    sweep::Instance inst = *prototype;
+                             Rng&) -> engine::Instance {
+    engine::Instance inst = *prototype;
     sweep::override_demand(inst, p.get("demand"));
     return inst;
   };

@@ -26,20 +26,24 @@ int main(int argc, char** argv) {
   std::cout << "== Part 1: the classic Braess paradox ==\n\n";
   const NetworkInstance with = braess_classic();
   const NetworkInstance without = braess_without_shortcut();
-  const NetworkAssignment nash_with = solve_nash(with);
-  const NetworkAssignment nash_without = solve_nash(without);
-  const NetworkAssignment opt_with = solve_optimum(with);
+  const double nash_with = cost(with, solve_equilibrium(with).edge_flow);
+  const double nash_without =
+      cost(without, solve_equilibrium(without).edge_flow);
+  const double opt_with = cost(
+      with,
+      solve_equilibrium(with, FlowObjective::kTotalCost)
+          .edge_flow);
 
   Table braess({"network", "Nash cost", "optimum cost", "PoA"});
-  braess.add_row({"with shortcut", format_double(nash_with.cost),
-                  format_double(opt_with.cost),
-                  format_double(nash_with.cost / opt_with.cost)});
-  braess.add_row({"without shortcut", format_double(nash_without.cost),
-                  format_double(nash_without.cost), "1.0"});
+  braess.add_row({"with shortcut", format_double(nash_with),
+                  format_double(opt_with),
+                  format_double(nash_with / opt_with)});
+  braess.add_row({"without shortcut", format_double(nash_without),
+                  format_double(nash_without), "1.0"});
   std::cout << braess.to_markdown() << "\n";
   std::cout << "Adding the free shortcut degrades the equilibrium from "
-            << format_double(nash_without.cost) << " to "
-            << format_double(nash_with.cost) << ".\n\n";
+            << format_double(nash_without) << " to "
+            << format_double(nash_with) << ".\n\n";
 
   const MopResult mop_braess = mop(with);
   std::cout << "MOP on the shortcut graph: beta = "

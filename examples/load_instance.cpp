@@ -46,15 +46,18 @@ int solve_parallel(const stackroute::ParallelLinks& m) {
 
 int solve_network(const stackroute::NetworkInstance& inst) {
   using namespace stackroute;
-  const NetworkAssignment nash = solve_nash(inst);
-  const NetworkAssignment opt = solve_optimum(inst);
+  const double nash = cost(inst, solve_equilibrium(inst).edge_flow);
+  const double opt = cost(
+      inst,
+      solve_equilibrium(inst, FlowObjective::kTotalCost)
+          .edge_flow);
   std::cout << "Network instance: " << inst.graph.num_nodes() << " nodes, "
             << inst.graph.num_edges() << " edges, "
             << inst.commodities.size() << " commodity(ies), total demand "
             << format_double(inst.total_demand()) << "\n";
-  std::cout << "C(N) = " << format_double(nash.cost)
-            << ", C(O) = " << format_double(opt.cost)
-            << ", PoA = " << format_double(nash.cost / opt.cost, 6) << "\n\n";
+  std::cout << "C(N) = " << format_double(nash)
+            << ", C(O) = " << format_double(opt)
+            << ", PoA = " << format_double(nash / opt, 6) << "\n\n";
   const MopResult r = mop(inst);
   std::cout << "MOP: beta = " << format_double(r.beta, 6)
             << " (weak-strategy beta = " << format_double(r.weak_beta, 6)

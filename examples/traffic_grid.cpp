@@ -16,6 +16,7 @@
 #include "stackroute/equilibrium/network.h"
 #include "stackroute/io/table.h"
 #include "stackroute/network/generators.h"
+#include "stackroute/util/numeric.h"
 #include "stackroute/util/rng.h"
 
 int main(int argc, char** argv) {
@@ -32,14 +33,16 @@ int main(int argc, char** argv) {
   std::cout << inst.graph.num_nodes() << " intersections, "
             << inst.graph.num_edges() << " road segments.\n\n";
 
-  const NetworkAssignment nash = solve_nash(inst);
-  const NetworkAssignment opt = solve_optimum(inst);
-  std::cout << "Selfish commuting cost C(N)  = " << format_double(nash.cost)
+  const double nash = cost(inst, solve_equilibrium(inst).edge_flow);
+  const EquilibriumResult opt =
+      solve_equilibrium(inst, FlowObjective::kTotalCost);
+  const double opt_cost = cost(inst, opt.edge_flow);
+  std::cout << "Selfish commuting cost C(N)  = " << format_double(nash)
             << "\n";
-  std::cout << "Coordinated optimum  C(O)  = " << format_double(opt.cost)
+  std::cout << "Coordinated optimum  C(O)  = " << format_double(opt_cost)
             << "\n";
   std::cout << "Price of anarchy           = "
-            << format_double(nash.cost / opt.cost, 6) << "\n\n";
+            << format_double(nash / opt_cost, 6) << "\n\n";
 
   const MopResult r = mop(inst);
   std::cout << "MOP: the authority needs beta = " << format_double(r.beta)
@@ -59,13 +62,15 @@ int main(int argc, char** argv) {
     for (auto& c : followers.commodities) c.demand *= (1.0 - alpha);
     double cost_at_alpha;
     if (alpha >= 1.0) {
-      cost_at_alpha = opt.cost;
+      cost_at_alpha = opt_cost;
     } else {
-      const NetworkAssignment induced = solve_induced(followers, preload);
-      cost_at_alpha = induced.cost;
+      // The followers' flow rides on the preload: C(S+T) = C(s + t).
+      const EquilibriumResult induced =
+          solve_equilibrium(followers, FlowObjective::kBeckmann, preload);
+      cost_at_alpha = cost(inst, add(preload, induced.edge_flow));
     }
     sweep.add_row({format_double(alpha, 2), format_double(cost_at_alpha),
-                   format_double(cost_at_alpha / opt.cost, 6)});
+                   format_double(cost_at_alpha / opt_cost, 6)});
   }
   std::cout << sweep.to_markdown() << "\n";
   std::cout << "MOP at alpha = " << format_double(r.beta)

@@ -102,7 +102,7 @@ BestResponseResult run_dynamics(const AtomicInstance& game,
       }
     }
     if (!moved) {
-      out.converged = true;
+      out.status = SolveStatus::kConverged;
       break;
     }
   }
@@ -205,7 +205,7 @@ AtomicStackelbergResult atomic_stackelberg(
       run_dynamics(game, std::move(choice), frozen, opts);
   result.choice = dynamics.choice;
   result.cost = dynamics.cost;
-  result.converged = dynamics.converged;
+  result.status = dynamics.status;
   return result;
 }
 

@@ -8,7 +8,7 @@
 // switching. Best-response dynamics converge for unit weights on
 // arbitrary latencies (Rosenthal's potential) and for weighted players on
 // affine latencies; the solver plays deterministic rounds with a guard
-// and reports convergence.
+// and reports how they ended as a SolveStatus.
 //
 // The Stackelberg layer mirrors the paper: the Leader owns a *set of
 // players* (rather than a flow portion) and pre-places them against the
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "stackroute/network/instance.h"
+#include "stackroute/solver/status.h"
 
 namespace stackroute {
 
@@ -51,7 +52,9 @@ struct BestResponseResult {
   std::vector<double> load;  // per link
   double cost = 0.0;         // Σ load·ℓ(load) = Σ_p w_p·ℓ(their link)
   int rounds = 0;            // full round-robin passes played
-  bool converged = false;    // pure Nash reached
+  /// kConverged once a pure Nash is reached; kIterLimit when max_rounds
+  /// ran out first.
+  SolveStatus status = SolveStatus::kIterLimit;
 };
 
 /// Round-robin best-response dynamics from `initial` (player -> link;
@@ -70,7 +73,8 @@ struct AtomicStackelbergResult {
   double leader_weight = 0.0;    // total weight the Leader owns
   double cost = 0.0;             // atomic C(S+T)
   double continuous_optimum = 0.0;  // C(O) of the continuous relaxation
-  bool converged = false;
+  /// How the followers' best-response dynamics ended.
+  SolveStatus status = SolveStatus::kIterLimit;
 };
 
 /// Stackelberg play: the `leader_players` (indices) are pre-placed against

@@ -98,23 +98,18 @@ struct MopOptions {
 
 MopResult mop(const NetworkInstance& inst, const MopOptions& opts = {});
 
-/// Converged solver state of a prior mop() run on the same network at a
-/// nearby demand — the warm-start payload for chained β_G evaluations
-/// along a sweep axis (see AssignmentWarmStart for the fallback rules; an
-/// ill-fitting payload degrades to cold solves, never to wrong answers).
-struct MopWarmStart {
-  AssignmentWarmStart optimum;  // the optimum solve's decomposition
-  AssignmentWarmStart induced;  // the verification solve's decomposition
-};
-
 /// Workspace/warm-start variant: reuses the caller's workspace across the
 /// optimum solve, every tight-subgraph Dijkstra pair and the induced
-/// verification solve; reads warm state from `warm_in` (null = cold) and,
-/// when `warm_out` is non-null, overwrites it with this run's converged
-/// state for the next chained point. warm_in and warm_out may alias.
+/// verification solve. Both solves are path-equalization solve_equilibrium
+/// calls (MOP needs the optimum's path decomposition), each warm-started
+/// from and publishing back to its own state: `optimum_warm` for step 1,
+/// `induced_warm` for step 5 (null = cold, nothing published). Chained
+/// β_G evaluations along a sweep axis pass the previous point's states;
+/// an ill-fitting payload degrades to a cold solve, never to a wrong
+/// answer. When step 5 does not run, `induced_warm` is cleared.
 MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
-              SolverWorkspace& ws, const MopWarmStart* warm_in,
-              MopWarmStart* warm_out);
+              SolverWorkspace& ws, EquilibriumWarmState* optimum_warm,
+              EquilibriumWarmState* induced_warm);
 
 /// Convenience: just β_G.
 double price_of_optimum(const NetworkInstance& inst);

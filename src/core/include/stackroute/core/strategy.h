@@ -57,28 +57,17 @@ struct StackelbergOutcome {
 StackelbergOutcome evaluate_strategy(const ParallelLinks& m,
                                      std::span<const double> strategy);
 
-/// Precomputed-optimum overload for α-sweeps: one solve_optimum feeds every
-/// α point instead of one per call. `optimum_cost` must be C(O) > 0.
+/// Precomputed-optimum variant for α-sweeps: one optimum solve feeds every
+/// α point instead of one per call (`optimum_cost` must be C(O) > 0). The
+/// induced solve takes solve_induced's knobs (see parallel.h): tolerance,
+/// workspace, the warm level hint and a budget whose hit degrades the
+/// outcome (status/supply_gap) instead of throwing.
 StackelbergOutcome evaluate_strategy(const ParallelLinks& m,
                                      std::span<const double> strategy,
-                                     double optimum_cost);
-
-/// Workspace/warm variant: the induced water-fill reuses `ws` and brackets
-/// from `level_hint` (NaN = cold; see water_filling.h — hints steer the
-/// root search only, never the answer).
-StackelbergOutcome evaluate_strategy(const ParallelLinks& m,
-                                     std::span<const double> strategy,
-                                     double optimum_cost, double tol,
-                                     SolverWorkspace& ws, double level_hint);
-
-/// Budgeted variant: the induced solve honors `budget` (see SolveBudget in
-/// solver/status.h); a budget hit or numeric failure degrades the outcome
-/// (status/supply_gap) instead of throwing.
-StackelbergOutcome evaluate_strategy(const ParallelLinks& m,
-                                     std::span<const double> strategy,
-                                     double optimum_cost, double tol,
-                                     SolverWorkspace& ws, double level_hint,
-                                     const SolveBudget& budget);
+                                     double optimum_cost, double tol = 1e-13,
+                                     SolverWorkspace* ws = nullptr,
+                                     double level_hint = kNoLevelHint,
+                                     const SolveBudget& budget = {});
 
 /// s = 0: the do-nothing baseline (induces the plain Nash).
 std::vector<double> aloof_strategy(const ParallelLinks& m);
@@ -102,8 +91,8 @@ std::vector<double> llf_strategy(const ParallelLinks& m, double alpha,
 // ---- General networks ----------------------------------------------------
 
 /// A Leader strategy on a network: an edge preload s (the flow the Leader
-/// routes) plus the demand it serves per commodity — solve_induced needs
-/// the followers' demands, which are r_i − controlled[i].
+/// routes) plus the demand it serves per commodity — the induced solve
+/// needs the followers' demands, which are r_i − controlled[i].
 struct NetworkStrategy {
   std::vector<double> preload;     // s_e, by EdgeId
   std::vector<double> controlled;  // Leader-served demand, per commodity
@@ -114,8 +103,6 @@ struct NetworkStackelbergOutcome {
   std::vector<double> induced;  // followers' edge flows t_e
   double cost = 0.0;            // C(S+T) on the instance's own latencies
   double ratio = 0.0;           // C(S+T)/C(O)
-  /// converged == solve_ok(status); kept for existing call sites.
-  bool converged = true;
   /// How the induced assignment solve ended (see solver/status.h), with
   /// its achieved path-cost spread as the honest quality bound. Budgets
   /// flow in through AssignmentOptions::budget.
@@ -136,18 +123,18 @@ NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
                                             const AssignmentOptions& opts = {});
 
 /// Precomputed-optimum / workspace / warm-start variant for chained
-/// α-sweeps: `optimum_cost` must be C(O) > 0; the induced solve runs on
-/// `ws`, warm-started from `warm_in` (null = cold) and, when `warm_out` is
-/// non-null, publishes its converged follower decomposition there for the
-/// next chained point (warm_in and warm_out may alias; an ill-fitting
-/// payload falls back to the cold start, never to a wrong answer).
+/// α-sweeps: `optimum_cost` must be C(O) > 0; the induced solve is a
+/// path-equalization solve_equilibrium call on `ws`, warm-started from
+/// `warm` (null = cold) and publishing its converged follower state back
+/// there for the next chained point (an ill-fitting payload falls back to
+/// the cold start, never to a wrong answer; at α = 1 there is no follower
+/// solve and `warm` is cleared).
 NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
                                             const NetworkStrategy& strategy,
                                             double optimum_cost,
                                             const AssignmentOptions& opts,
                                             SolverWorkspace& ws,
-                                            const AssignmentWarmStart* warm_in,
-                                            AssignmentWarmStart* warm_out);
+                                            EquilibriumWarmState* warm);
 
 /// s = 0 on every edge: the do-nothing baseline.
 NetworkStrategy aloof_strategy(const NetworkInstance& inst);
@@ -155,11 +142,11 @@ NetworkStrategy aloof_strategy(const NetworkInstance& inst);
 /// s = α·O on edges, serving α·r_i of every commodity.
 NetworkStrategy scale_strategy(const NetworkInstance& inst, double alpha);
 
-/// Precomputed-optimum overload: `optimum` must be solve_optimum's
-/// assignment for `inst` (its edge flows are scaled; its path
-/// decomposition is not needed).
+/// Precomputed-optimum overload: `optimum` must be the optimum solve of
+/// `inst` (its edge flows are scaled; its path decomposition is not
+/// needed).
 NetworkStrategy scale_strategy(const NetworkInstance& inst, double alpha,
-                               const NetworkAssignment& optimum);
+                               const EquilibriumResult& optimum);
 
 /// LLF on a network: per commodity, order the optimum's path decomposition
 /// by decreasing path latency ℓ(O) and fill greedily up to the budget
@@ -167,9 +154,10 @@ NetworkStrategy scale_strategy(const NetworkInstance& inst, double alpha,
 /// invariant as the parallel-links fill).
 NetworkStrategy llf_strategy(const NetworkInstance& inst, double alpha);
 
-/// Precomputed-optimum overload: `optimum` must be solve_optimum's
-/// assignment for `inst`, including its per-commodity path decomposition.
+/// Precomputed-optimum overload: `optimum` must be the path-equalization
+/// optimum solve of `inst`, including its per-commodity path
+/// decomposition.
 NetworkStrategy llf_strategy(const NetworkInstance& inst, double alpha,
-                             const NetworkAssignment& optimum);
+                             const EquilibriumResult& optimum);
 
 }  // namespace stackroute

@@ -67,15 +67,17 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts) {
 }
 
 MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
-              SolverWorkspace& ws, const MopWarmStart* warm_in,
-              MopWarmStart* warm_out) {
+              SolverWorkspace& ws, EquilibriumWarmState* optimum_warm,
+              EquilibriumWarmState* induced_warm) {
   obs::ScopedCounterDelta tally;
   obs::ScopedSpan span("mop");
   inst.validate();
   // Arm the budget once so the optimum solve and the induced verification
   // solve draw on a single shared deadline.
-  AssignmentOptions solve_opts = opts.assignment;
-  solve_opts.budget = opts.assignment.budget.armed();
+  EquilibriumRequest req;
+  req.objective = FlowObjective::kTotalCost;
+  req.assignment = opts.assignment;
+  req.budget = opts.assignment.budget.armed();
   const Graph& g = inst.graph;
   const auto ne = static_cast<std::size_t>(g.num_edges());
   const std::size_t k = inst.commodities.size();
@@ -83,16 +85,14 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
 
   MopResult result;
   // (1) Optimum flow and the induced edge costs ℓ_e(o_e).
-  NetworkAssignment opt = [&] {
+  const EquilibriumResult opt = [&] {
     obs::ScopedSpan phase("mop_optimum");
-    return warm_in != nullptr
-               ? solve_optimum(inst, solve_opts, ws, warm_in->optimum)
-               : solve_optimum(inst, solve_opts, ws);
+    return solve_equilibrium(inst, {}, req, ws, optimum_warm, optimum_warm);
   }();
   result.status = worst_status(result.status, opt.status);
   result.spread = std::fmax(result.spread, opt.spread);
   result.optimum_edge_flow = opt.edge_flow;
-  result.optimum_cost = opt.cost;
+  result.optimum_cost = cost(inst, opt.edge_flow);
   const std::vector<LatencyPtr> lat = g.latencies();
   // The instance's own latencies, no preload: pointer-identical to the
   // optimum solve's set, so this compile is skipped on the fast path.
@@ -171,7 +171,7 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
 
   // (5) Verify: followers' selfish routing of the free flow under the
   // Leader's preload reproduces the optimum.
-  MopWarmStart harvest;
+  bool induced_solved = false;
   result.follower_edge_flow.assign(ne, 0.0);
   if (opts.verify_induced) {
     obs::ScopedSpan verify_span("mop_induced");
@@ -185,39 +185,26 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
       }
     }
     if (!followers.commodities.empty()) {
-      NetworkAssignment induced =
-          warm_in != nullptr
-              ? solve_induced(followers, result.leader_edge_flow,
-                              solve_opts, ws, warm_in->induced)
-              : solve_induced(followers, result.leader_edge_flow,
-                              solve_opts, ws);
+      req.objective = FlowObjective::kBeckmann;
+      EquilibriumResult induced =
+          solve_equilibrium(followers, result.leader_edge_flow, req, ws,
+                            induced_warm, induced_warm);
+      induced_solved = true;
       result.status = worst_status(result.status, induced.status);
       result.spread = std::fmax(result.spread, induced.spread);
-      result.follower_edge_flow = induced.edge_flow;
-      result.induced_cost = induced.cost;
-      if (warm_out != nullptr) {
-        harvest.induced.commodity_paths = std::move(induced.commodity_paths);
-        for (const Commodity& c : followers.commodities) {
-          harvest.induced.demands.push_back(c.demand);
-        }
-      }
-    } else {
-      // Leader controls everything; the "induced" flow is the strategy.
-      result.induced_cost = cost(inst, result.leader_edge_flow);
+      result.follower_edge_flow = std::move(induced.edge_flow);
     }
+    // C(S+T); when the Leader controls everything, the "induced" flow is
+    // the strategy itself.
     const std::vector<double> combined =
         add(result.leader_edge_flow, result.follower_edge_flow);
+    result.induced_cost = cost(inst, combined);
     result.induced_residual = max_abs_diff(combined, result.optimum_edge_flow);
   } else {
     result.induced_cost = result.optimum_cost;
   }
-  if (warm_out != nullptr) {
-    harvest.optimum.commodity_paths = std::move(opt.commodity_paths);
-    for (const Commodity& c : inst.commodities) {
-      harvest.optimum.demands.push_back(c.demand);
-    }
-    *warm_out = std::move(harvest);
-  }
+  // A skipped step 5 leaves no converged follower state to chain from.
+  if (induced_warm != nullptr && !induced_solved) induced_warm->clear();
   if (tally.active()) result.counters = tally.current();
   return result;
 }

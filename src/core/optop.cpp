@@ -48,13 +48,13 @@ OpTopResult op_top(const ParallelLinks& m, const OpTopOptions& opts,
   };
   {
     const LinkAssignment opt =
-        solve_optimum(m, opts.solve_tol, ws,
+        solve_optimum(m, opts.solve_tol, &ws,
                       hint(&OpTopWarmStart::optimum_level), budget);
     absorb(opt);
     result.optimum = opt.flows;
     levels.optimum_level = opt.level;
     const LinkAssignment nash = solve_nash(
-        m, opts.solve_tol, ws, hint(&OpTopWarmStart::nash_level), budget);
+        m, opts.solve_tol, &ws, hint(&OpTopWarmStart::nash_level), budget);
     absorb(nash);
     result.nash = nash.flows;
     levels.nash_level = nash.level;
@@ -74,7 +74,7 @@ OpTopResult op_top(const ParallelLinks& m, const OpTopOptions& opts,
     const ParallelLinks sub = subsystem(m, active, remaining);
     LinkAssignment nash;
     if (remaining > tol) {
-      nash = solve_nash(sub, opts.solve_tol, ws,
+      nash = solve_nash(sub, opts.solve_tol, &ws,
                         round_hint(static_cast<std::size_t>(round)), budget);
       absorb(nash);
       levels.round_levels.push_back(nash.level);
@@ -113,7 +113,7 @@ OpTopResult op_top(const ParallelLinks& m, const OpTopOptions& opts,
   if (!active.empty() && remaining > tol) {
     const ParallelLinks sub = subsystem(m, active, remaining);
     const LinkAssignment induced =
-        solve_nash(sub, opts.solve_tol, ws,
+        solve_nash(sub, opts.solve_tol, &ws,
                    hint(&OpTopWarmStart::induced_level), budget);
     absorb(induced);
     levels.induced_level = induced.level;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 
 #include "stackroute/obs/counters.h"
@@ -13,8 +12,6 @@
 namespace stackroute {
 
 namespace {
-
-constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 void require_alpha(double alpha, const char* who) {
   SR_REQUIRE(alpha >= 0.0 && alpha <= 1.0,
@@ -86,23 +83,8 @@ StackelbergOutcome evaluate_strategy(const ParallelLinks& m,
 
 StackelbergOutcome evaluate_strategy(const ParallelLinks& m,
                                      std::span<const double> strategy,
-                                     double optimum_cost) {
-  SolverWorkspace ws;
-  return evaluate_strategy(m, strategy, optimum_cost, 1e-13, ws, kNaN);
-}
-
-StackelbergOutcome evaluate_strategy(const ParallelLinks& m,
-                                     std::span<const double> strategy,
                                      double optimum_cost, double tol,
-                                     SolverWorkspace& ws, double level_hint) {
-  return evaluate_strategy(m, strategy, optimum_cost, tol, ws, level_hint,
-                           SolveBudget{});
-}
-
-StackelbergOutcome evaluate_strategy(const ParallelLinks& m,
-                                     std::span<const double> strategy,
-                                     double optimum_cost, double tol,
-                                     SolverWorkspace& ws, double level_hint,
+                                     SolverWorkspace* ws, double level_hint,
                                      const SolveBudget& budget) {
   obs::ScopedCounterDelta tally;
   obs::ScopedSpan span("evaluate_strategy");
@@ -181,8 +163,12 @@ NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
                                             const NetworkStrategy& strategy,
                                             const AssignmentOptions& opts) {
   SolverWorkspace ws;
-  const NetworkAssignment opt = solve_optimum(inst, opts, ws);
-  return evaluate_strategy(inst, strategy, opt.cost, opts, ws, nullptr,
+  EquilibriumRequest req;
+  req.objective = FlowObjective::kTotalCost;
+  req.assignment = opts;
+  const EquilibriumResult opt =
+      solve_equilibrium(inst, {}, req, ws, nullptr, nullptr);
+  return evaluate_strategy(inst, strategy, cost(inst, opt.edge_flow), opts, ws,
                            nullptr);
 }
 
@@ -191,8 +177,7 @@ NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
                                             double optimum_cost,
                                             const AssignmentOptions& opts,
                                             SolverWorkspace& ws,
-                                            const AssignmentWarmStart* warm_in,
-                                            AssignmentWarmStart* warm_out) {
+                                            EquilibriumWarmState* warm) {
   obs::ScopedCounterDelta tally;
   obs::ScopedSpan span("evaluate_strategy");
   const auto ne = static_cast<std::size_t>(inst.graph.num_edges());
@@ -224,25 +209,17 @@ NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
     // α = 1: the Leader routes everything; there is no follower flow.
     out.induced.assign(ne, 0.0);
     out.cost = cost(inst, strategy.preload);
-    if (warm_out != nullptr) *warm_out = {};
+    if (warm != nullptr) warm->clear();
   } else {
     followers.graph = inst.graph;
-    NetworkAssignment induced =
-        warm_in != nullptr
-            ? solve_induced(followers, strategy.preload, opts, ws, *warm_in)
-            : solve_induced(followers, strategy.preload, opts, ws);
-    out.converged = induced.converged;
+    EquilibriumRequest req;
+    req.assignment = opts;
+    EquilibriumResult induced =
+        solve_equilibrium(followers, strategy.preload, req, ws, warm, warm);
     out.status = induced.status;
     out.spread = induced.spread;
-    out.cost = induced.cost;
-    if (warm_out != nullptr) {
-      warm_out->commodity_paths = std::move(induced.commodity_paths);
-      warm_out->demands.clear();
-      for (const Commodity& c : followers.commodities) {
-        warm_out->demands.push_back(c.demand);
-      }
-    }
     out.induced = std::move(induced.edge_flow);
+    out.cost = cost(inst, add(strategy.preload, out.induced));
   }
   out.ratio = out.cost / optimum_cost;
   if (tally.active()) out.counters = tally.current();
@@ -258,11 +235,13 @@ NetworkStrategy aloof_strategy(const NetworkInstance& inst) {
 
 NetworkStrategy scale_strategy(const NetworkInstance& inst, double alpha) {
   require_alpha(alpha, "SCALE");
-  return scale_strategy(inst, alpha, solve_optimum(inst));
+  return scale_strategy(
+      inst, alpha,
+      solve_equilibrium(inst, FlowObjective::kTotalCost));
 }
 
 NetworkStrategy scale_strategy(const NetworkInstance& inst, double alpha,
-                               const NetworkAssignment& optimum) {
+                               const EquilibriumResult& optimum) {
   require_alpha(alpha, "SCALE");
   SR_REQUIRE(optimum.edge_flow.size() ==
                  static_cast<std::size_t>(inst.graph.num_edges()),
@@ -279,11 +258,13 @@ NetworkStrategy scale_strategy(const NetworkInstance& inst, double alpha,
 
 NetworkStrategy llf_strategy(const NetworkInstance& inst, double alpha) {
   require_alpha(alpha, "LLF");
-  return llf_strategy(inst, alpha, solve_optimum(inst));
+  return llf_strategy(
+      inst, alpha,
+      solve_equilibrium(inst, FlowObjective::kTotalCost));
 }
 
 NetworkStrategy llf_strategy(const NetworkInstance& inst, double alpha,
-                             const NetworkAssignment& optimum) {
+                             const EquilibriumResult& optimum) {
   require_alpha(alpha, "LLF");
   const auto ne = static_cast<std::size_t>(inst.graph.num_edges());
   SR_REQUIRE(optimum.edge_flow.size() == ne,

@@ -62,10 +62,16 @@ TollResult marginal_cost_tolls(const NetworkInstance& inst,
                                const AssignmentOptions& opts) {
   inst.validate();
   TollResult result;
-  const NetworkAssignment nash = solve_nash(inst, opts);
-  result.untolled_nash_cost = nash.cost;
-  const NetworkAssignment opt = solve_optimum(inst, opts);
-  result.optimum_cost = opt.cost;
+  SolverWorkspace ws;
+  EquilibriumRequest req;
+  req.assignment = opts;
+  result.untolled_nash_cost = cost(
+      inst, solve_equilibrium(inst, {}, req, ws, nullptr, nullptr).edge_flow);
+  EquilibriumRequest opt_req = req;
+  opt_req.objective = FlowObjective::kTotalCost;
+  const EquilibriumResult opt =
+      solve_equilibrium(inst, {}, opt_req, ws, nullptr, nullptr);
+  result.optimum_cost = cost(inst, opt.edge_flow);
 
   const auto ne = static_cast<std::size_t>(inst.graph.num_edges());
   result.tolls.resize(ne);
@@ -75,7 +81,8 @@ TollResult marginal_cost_tolls(const NetworkInstance& inst,
   }
 
   const NetworkInstance tolled = with_tolls(inst, result.tolls);
-  const NetworkAssignment eq = solve_nash(tolled, opts);
+  const EquilibriumResult eq =
+      solve_equilibrium(tolled, {}, req, ws, nullptr, nullptr);
   result.tolled_equilibrium = eq.edge_flow;
   result.tolled_latency_cost = cost(inst, eq.edge_flow);
   for (std::size_t e = 0; e < ne; ++e) {

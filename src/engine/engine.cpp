@@ -326,7 +326,7 @@ SolveResponse Engine::solve_on(SolveSession* session,
           // funnels through the dispatcher, and the session's tagged warm
           // state carries whichever payload the backend produces.
           eval.set_backend(req.backend);
-          resp.cost = eval.network_nash().cost;
+          resp.cost = eval.nash_cost();
         }
         break;
       case RequestKind::kOptimum:
@@ -334,7 +334,7 @@ SolveResponse Engine::solve_on(SolveSession* session,
           const LinkAssignment& a = eval.parallel_optimum();
           resp.cost = cost(eval.links(), a.flows);
         } else {
-          resp.cost = eval.network_optimum().cost;
+          resp.cost = eval.optimum_cost();
         }
         resp.optimum_cost = resp.cost;
         break;

@@ -13,21 +13,18 @@ namespace stackroute::engine {
 
 void SolveSession::reset_warm() {
   has_prev = false;
-  equilibrium.clear();
-  mop = {};
+  for (EquilibriumWarmState* w :
+       {&nash, &optimum, &induced, &scale_induced, &llf_induced}) {
+    w->clear();
+  }
   optop = {};
-  strategy = {};
-  nash_level = std::numeric_limits<double>::quiet_NaN();
-  opt_level = std::numeric_limits<double>::quiet_NaN();
+  nash_level = opt_level = scale_level = llf_level = kNoLevelHint;
 }
 
 void SolveSession::shed_memory() {
-  reset_warm();
-  // reset_warm clears but keeps capacity; swapping with fresh objects is
-  // what actually returns the bytes to the allocator.
-  ws = SolverWorkspace{};
-  prev_instance = Instance{};
-  equilibrium = EquilibriumWarmState{};
+  // reset_warm clears but keeps capacity; a fresh session is what actually
+  // returns the bytes to the allocator.
+  *this = SolveSession{};
 }
 
 Evaluation::Evaluation(const Instance& instance, SolveSession* session,
@@ -75,20 +72,6 @@ const NetworkInstance& Evaluation::network() const {
   return std::get<NetworkInstance>(instance_);
 }
 
-namespace {
-
-/// Publishes a converged decomposition as the session's warm payload for
-/// the next evaluation (copies: the memoized result must stay intact for
-/// other readers of this evaluation).
-void publish(AssignmentWarmStart& warm, const NetworkAssignment& a,
-             const NetworkInstance& inst) {
-  warm.commodity_paths = a.commodity_paths;
-  warm.demands.clear();
-  for (const Commodity& c : inst.commodities) warm.demands.push_back(c.demand);
-}
-
-}  // namespace
-
 const OpTopResult& Evaluation::optop() {
   if (!optop_) {
     OpTopOptions opts;
@@ -111,8 +94,8 @@ const MopResult& Evaluation::mop_result() {
     MopOptions opts;
     opts.assignment.budget = budget_;
     if (session_ != nullptr) {
-      mop_ = mop(network(), opts, session_->ws, &session_->mop,
-                 &session_->mop);
+      mop_ = mop(network(), opts, session_->ws, &session_->optimum,
+                 &session_->induced);
     } else {
       mop_ = mop(network(), opts);
     }
@@ -121,35 +104,31 @@ const MopResult& Evaluation::mop_result() {
   return *mop_;
 }
 
-const NetworkAssignment& Evaluation::network_nash() {
+const EquilibriumResult& Evaluation::network_nash() {
   if (!net_nash_) {
     // Backend-dispatched (see solver/backend.h): the session's tagged warm
-    // state seeds the solve and receives the converged payload back; the
-    // default backend takes exactly the legacy assign_traffic path.
+    // state seeds the solve and receives the converged payload back.
     EquilibriumRequest req;
     req.backend = backend_;
     req.budget = budget_;
-    if (session_ != nullptr) {
-      net_nash_ = solve_nash(network(), req, session_->ws,
-                             &session_->equilibrium, &session_->equilibrium);
-    } else {
-      net_nash_ = solve_nash(network(), req, ws(), nullptr, nullptr);
-    }
+    EquilibriumWarmState* warm =
+        session_ != nullptr ? &session_->nash : nullptr;
+    net_nash_ = solve_equilibrium(network(), {}, req, ws(), warm, warm);
+    net_nash_cost_ = cost(network(), net_nash_->edge_flow);
     absorb(net_nash_->status);
   }
   return *net_nash_;
 }
 
-const NetworkAssignment& Evaluation::network_optimum() {
+const EquilibriumResult& Evaluation::network_optimum() {
   if (!net_opt_) {
     if (mop_) {
       // Reuse MOP's optimum instead of solving again: its per-commodity
       // leader/free path splits jointly decompose O, which is all the
       // strategy evaluations need (mop() already published the payload).
-      NetworkAssignment a;
+      EquilibriumResult a;
       a.edge_flow = mop_->optimum_edge_flow;
-      a.cost = mop_->optimum_cost;
-      a.converged = true;
+      net_opt_cost_ = mop_->optimum_cost;
       a.commodity_paths.reserve(mop_->commodities.size());
       for (const MopCommodity& c : mop_->commodities) {
         std::vector<PathFlow> paths = c.free_paths;
@@ -159,15 +138,13 @@ const NetworkAssignment& Evaluation::network_optimum() {
       }
       net_opt_ = std::move(a);
     } else {
-      AssignmentOptions opts;
-      opts.budget = budget_;
-      if (session_ != nullptr) {
-        net_opt_ = solve_optimum(network(), opts, session_->ws,
-                                 session_->mop.optimum);
-        publish(session_->mop.optimum, *net_opt_, network());
-      } else {
-        net_opt_ = solve_optimum(network(), opts, ws());
-      }
+      EquilibriumRequest req;
+      req.objective = FlowObjective::kTotalCost;
+      req.budget = budget_;
+      EquilibriumWarmState* warm =
+          session_ != nullptr ? &session_->optimum : nullptr;
+      net_opt_ = solve_equilibrium(network(), {}, req, ws(), warm, warm);
+      net_opt_cost_ = cost(network(), net_opt_->edge_flow);
       absorb(net_opt_->status);
     }
   }
@@ -176,15 +153,10 @@ const NetworkAssignment& Evaluation::network_optimum() {
 
 const LinkAssignment& Evaluation::parallel_nash() {
   if (!par_nash_) {
-    if (session_ != nullptr) {
-      par_nash_ = solve_nash(links(), 1e-13, session_->ws,
-                             session_->nash_level, budget_);
-      session_->nash_level = par_nash_->level;
-    } else {
-      par_nash_ = solve_nash(links(), 1e-13, ws(),
-                             std::numeric_limits<double>::quiet_NaN(),
-                             budget_);
-    }
+    double* level = session_ != nullptr ? &session_->nash_level : nullptr;
+    par_nash_ = solve_nash(links(), 1e-13, &ws(),
+                           level != nullptr ? *level : kNoLevelHint, budget_);
+    if (level != nullptr) *level = par_nash_->level;
     absorb(par_nash_->status);
   }
   return *par_nash_;
@@ -192,15 +164,11 @@ const LinkAssignment& Evaluation::parallel_nash() {
 
 const LinkAssignment& Evaluation::parallel_optimum() {
   if (!par_opt_) {
-    if (session_ != nullptr) {
-      par_opt_ = solve_optimum(links(), 1e-13, session_->ws,
-                               session_->opt_level, budget_);
-      session_->opt_level = par_opt_->level;
-    } else {
-      par_opt_ = solve_optimum(links(), 1e-13, ws(),
-                               std::numeric_limits<double>::quiet_NaN(),
-                               budget_);
-    }
+    double* level = session_ != nullptr ? &session_->opt_level : nullptr;
+    par_opt_ = solve_optimum(links(), 1e-13, &ws(),
+                             level != nullptr ? *level : kNoLevelHint,
+                             budget_);
+    if (level != nullptr) *level = par_opt_->level;
     absorb(par_opt_->status);
   }
   return *par_opt_;
@@ -212,15 +180,25 @@ double Evaluation::beta() {
 
 double Evaluation::poa() { return nash_cost() / optimum_cost(); }
 
+double Evaluation::network_nash_cost() {
+  network_nash();
+  return net_nash_cost_;
+}
+
+double Evaluation::network_optimum_cost() {
+  network_optimum();
+  return net_opt_cost_;
+}
+
 double Evaluation::nash_cost() {
-  return is_parallel() ? optop().nash_cost : network_nash().cost;
+  return is_parallel() ? optop().nash_cost : network_nash_cost();
 }
 
 double Evaluation::optimum_cost() {
   if (is_parallel()) return optop().optimum_cost;
   // Reuse MOP's optimum when some other reader already paid for it.
   if (mop_) return mop_->optimum_cost;
-  return network_optimum().cost;
+  return network_optimum_cost();
 }
 
 double Evaluation::stackelberg_cost() {
@@ -247,7 +225,7 @@ const char* strategy_name(StrategyKind kind) {
 double Evaluation::strategy_ratio(StrategyKind kind, double alpha) {
   // Same denominator the evaluations use, so ratio == cost/C(O) exactly.
   return strategy_cost(kind, alpha) /
-         (is_parallel() ? optop().optimum_cost : network_optimum().cost);
+         (is_parallel() ? optop().optimum_cost : network_optimum_cost());
 }
 
 double Evaluation::evaluate_baseline(StrategyKind kind, double alpha,
@@ -260,31 +238,30 @@ double Evaluation::evaluate_baseline(StrategyKind kind, double alpha,
             : llf_strategy(links(), alpha, ot.optimum);
     double* level = nullptr;
     if (chained && session_ != nullptr) {
-      level = kind == StrategyKind::kScale ? &session_->strategy.scale_level
-                                           : &session_->strategy.llf_level;
+      level = kind == StrategyKind::kScale ? &session_->scale_level
+                                           : &session_->llf_level;
     }
     const StackelbergOutcome out = evaluate_strategy(
-        links(), s, ot.optimum_cost, 1e-13, ws(),
-        level != nullptr ? *level
-                         : std::numeric_limits<double>::quiet_NaN(),
-        budget_);
+        links(), s, ot.optimum_cost, 1e-13, &ws(),
+        level != nullptr ? *level : kNoLevelHint, budget_);
     if (level != nullptr) *level = out.induced_level;
     absorb(out.status);
     return out.cost;
   }
-  const NetworkAssignment& opt = network_optimum();
+  const EquilibriumResult& opt = network_optimum();
+  const double opt_cost = network_optimum_cost();
   const NetworkStrategy s = kind == StrategyKind::kScale
                                 ? scale_strategy(network(), alpha, opt)
                                 : llf_strategy(network(), alpha, opt);
-  AssignmentWarmStart* warm = nullptr;
+  EquilibriumWarmState* warm = nullptr;
   if (chained && session_ != nullptr) {
-    warm = kind == StrategyKind::kScale ? &session_->strategy.scale_induced
-                                        : &session_->strategy.llf_induced;
+    warm = kind == StrategyKind::kScale ? &session_->scale_induced
+                                        : &session_->llf_induced;
   }
   AssignmentOptions opts;
   opts.budget = budget_;
   const NetworkStackelbergOutcome out =
-      evaluate_strategy(network(), s, opt.cost, opts, ws(), warm, warm);
+      evaluate_strategy(network(), s, opt_cost, opts, ws(), warm);
   absorb(out.status);
   return out.cost;
 }
@@ -304,7 +281,7 @@ double Evaluation::strategy_alpha_to_optimum(StrategyKind kind, double eps) {
   // session's warm payloads (their α jumps around, the session's is
   // ordered).
   const double opt_cost =
-      is_parallel() ? optop().optimum_cost : network_optimum().cost;
+      is_parallel() ? optop().optimum_cost : network_optimum_cost();
   auto ratio_at = [&](double alpha) -> double {
     return evaluate_baseline(kind, alpha, /*chained=*/false) / opt_cost;
   };

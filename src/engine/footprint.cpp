@@ -61,10 +61,6 @@ std::size_t footprint_bytes(const AssignmentWarmStart& warm) {
   return bytes;
 }
 
-std::size_t footprint_bytes(const MopWarmStart& warm) {
-  return footprint_bytes(warm.optimum) + footprint_bytes(warm.induced);
-}
-
 std::size_t footprint_bytes(const OpTopWarmStart& warm) {
   return vec_bytes(warm.round_levels);
 }
@@ -77,10 +73,12 @@ std::size_t footprint_bytes(const EquilibriumWarmState& warm) {
 std::size_t footprint_bytes(const SolveSession& session) {
   std::size_t bytes = sizeof(session) - sizeof(SolverWorkspace) +
                       footprint_bytes(session.ws) +
-                      footprint_bytes(session.equilibrium) +
-                      footprint_bytes(session.mop) + footprint_bytes(session.optop) +
-                      footprint_bytes(session.strategy.scale_induced) +
-                      footprint_bytes(session.strategy.llf_induced);
+                      footprint_bytes(session.optop);
+  for (const EquilibriumWarmState* w :
+       {&session.nash, &session.optimum, &session.induced,
+        &session.scale_induced, &session.llf_induced}) {
+    bytes += footprint_bytes(*w);
+  }
   // The anchor instance holds memory even after reset_warm flips has_prev
   // off (the payload is dropped, the buffers may not be) — count what is
   // actually retained.

@@ -51,10 +51,12 @@ class Evaluation {
   /// solve; an inactive budget changes nothing.
   void set_budget(const SolveBudget& budget) { budget_ = budget.armed(); }
 
-  /// Selects the equilibrium backend network_nash() dispatches through
-  /// (see solver/backend.h; the default is the legacy path-equalization
-  /// solve). Call before the first solve — the session's warm payload is
-  /// backend-tagged, so a mid-chain switch re-warms from cold.
+  /// Selects the equilibrium backend network Nash solves dispatch through
+  /// (see solver/backend.h; the default is path equalization). Call
+  /// before the first solve — the session's warm payload is
+  /// backend-tagged, so a mid-chain switch re-warms from cold. MOP, the
+  /// optimum and the baseline strategies always run on path equalization:
+  /// MOP and LLF need its path decomposition.
   void set_backend(EquilibriumBackend backend) { backend_ = backend; }
 
   /// Worst SolveStatus over every solve run so far. Degraded solves still
@@ -72,9 +74,6 @@ class Evaluation {
   const OpTopResult& optop();
   /// Cached MOP run (networks only).
   const MopResult& mop_result();
-  /// Cached Nash / optimum network assignments (networks only).
-  const NetworkAssignment& network_nash();
-  const NetworkAssignment& network_optimum();
   /// Cached plain water-filling Nash / optimum (parallel links only) —
   /// the cheap equilibrium/optimum requests, warm-started from the
   /// session's last levels without paying for a full OpTop.
@@ -93,7 +92,7 @@ class Evaluation {
   /// and reuses the Nash caches; a repeated kind returns the first call's
   /// cached cost regardless of alpha — one α per evaluation, as in a
   /// sweep task). Parallel links evaluate against the OpTop optimum,
-  /// networks against network_optimum(); chained evaluations warm-start
+  /// networks against the network optimum; chained evaluations warm-start
   /// each baseline's induced solve from the session's converged follower
   /// state.
   double strategy_cost(StrategyKind kind, double alpha);
@@ -125,6 +124,13 @@ class Evaluation {
   SolverWorkspace& ws();
 
  private:
+  /// Cached Nash / optimum network solves (networks only), and their
+  /// costs C(N) / C(O).
+  const EquilibriumResult& network_nash();
+  const EquilibriumResult& network_optimum();
+  double network_nash_cost();
+  double network_optimum_cost();
+
   const Instance& instance_;
   SolveSession* session_ = nullptr;
   bool warm_ = false;
@@ -136,8 +142,10 @@ class Evaluation {
   SolverWorkspace own_ws_;
   std::optional<OpTopResult> optop_;
   std::optional<MopResult> mop_;
-  std::optional<NetworkAssignment> net_nash_;
-  std::optional<NetworkAssignment> net_opt_;
+  std::optional<EquilibriumResult> net_nash_;
+  std::optional<EquilibriumResult> net_opt_;
+  double net_nash_cost_ = 0.0;  // C(N) of net_nash_
+  double net_opt_cost_ = 0.0;   // C(O) of net_opt_
   std::optional<LinkAssignment> par_nash_;
   std::optional<LinkAssignment> par_opt_;
   std::optional<double> strategy_cost_[3];  // indexed by StrategyKind

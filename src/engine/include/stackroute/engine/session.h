@@ -1,34 +1,19 @@
-// SolveSession: the persistent per-client solver state of the engine —
-// the generalization of the sweep layer's old ChainContext (which is now
-// an alias of this type). A session owns one SolverWorkspace (compiled
-// latency table, Dijkstra/path buffers) plus the converged warm-start
-// payloads of the last request it served, and hands them to the next
-// request whenever the instances are chain-compatible. Confined to one
+// SolveSession: the persistent per-client solver state of the engine, and
+// the warm state of one sweep chain. A session owns one SolverWorkspace
+// (compiled latency table, Dijkstra/path buffers) plus the converged
+// warm-start payloads of the last request it served, and hands them to
+// the next request whenever the instances are chain-compatible. Confined to one
 // request at a time, hence one thread — the engine serializes a session's
 // requests and shards only across sessions.
 #pragma once
 
-#include <cstdint>
-#include <limits>
-#include <vector>
-
-#include "stackroute/core/mop.h"
 #include "stackroute/core/optop.h"
 #include "stackroute/engine/instance.h"
+#include "stackroute/equilibrium/parallel.h"
 #include "stackroute/solver/backend.h"
 #include "stackroute/solver/workspace.h"
 
 namespace stackroute::engine {
-
-/// Converged baseline-strategy solver state carried along an α-sweep
-/// chain: the induced-equilibrium decompositions on networks, the induced
-/// water-filling levels on parallel links.
-struct StrategyWarmState {
-  AssignmentWarmStart scale_induced;  // network follower decompositions
-  AssignmentWarmStart llf_induced;
-  double scale_level = std::numeric_limits<double>::quiet_NaN();
-  double llf_level = std::numeric_limits<double>::quiet_NaN();
-};
 
 struct SolveSession {
   SolverWorkspace ws;
@@ -36,23 +21,25 @@ struct SolveSession {
   /// The previous request's instance — kept alive so chain_compatible's
   /// pointer-identity test is sound (and warm_compatible has an anchor).
   Instance prev_instance;
-  /// Converged equilibrium warm state, tagged by the backend that produced
-  /// it (see solver/backend.h): the path-equalization decomposition, the
-  /// Frank–Wolfe edge flow + demand snapshot, or the per-origin bushes —
-  /// whichever the last equilibrium request ran. Switching backends inside
-  /// a session clears the other backend's payload (prepare()), so a chain
-  /// that flips backends re-warms from cold instead of mis-seeding.
-  EquilibriumWarmState equilibrium;
-  MopWarmStart mop;          // optimum + induced decompositions (the
-                             // .optimum half also feeds plain optimum
-                             // solves on non-MOP metric sets)
-  OpTopWarmStart optop;      // parallel-links water-filling levels
-  StrategyWarmState strategy;  // per-baseline induced payloads (α chains)
+  /// Converged equilibrium warm state, one per chained solve role, each
+  /// passed in and out of solve_equilibrium (see solver/backend.h). The
+  /// Nash state is tagged by whichever backend the last Nash request ran
+  /// (switching backends clears it, so a chain that flips backends
+  /// re-warms from cold instead of mis-seeding); every other role is a
+  /// path-equalization solve.
+  EquilibriumWarmState nash;
+  EquilibriumWarmState optimum;  // MOP step 1, and plain optimum solves
+  EquilibriumWarmState induced;  // MOP step 5: followers under the preload
+  EquilibriumWarmState scale_induced;  // baseline followers (α chains)
+  EquilibriumWarmState llf_induced;
+  OpTopWarmStart optop;  // parallel-links water-filling levels
   /// Water-filling levels of the last plain parallel-links Nash/optimum
-  /// solves — the warm seeds of chained equilibrium/optimum requests
-  /// (OpTop keeps its own levels in `optop`).
-  double nash_level = std::numeric_limits<double>::quiet_NaN();
-  double opt_level = std::numeric_limits<double>::quiet_NaN();
+  /// solves and baseline follower solves — the warm seeds of the next
+  /// chained request (OpTop keeps its own levels in `optop`).
+  double nash_level = kNoLevelHint;
+  double opt_level = kNoLevelHint;
+  double scale_level = kNoLevelHint;
+  double llf_level = kNoLevelHint;
 
   /// Drops the warm payloads (workspace capacity is kept): called when a
   /// task fails or an incompatible instance breaks the chain, so stale

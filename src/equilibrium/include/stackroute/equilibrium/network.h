@@ -1,5 +1,7 @@
-// Nash, optimum and induced equilibria on multicommodity networks, plus
-// the Wardrop checker for path flows (§4 "Multicommodity networks").
+// Costs and checkers for equilibria on multicommodity networks (§4
+// "Multicommodity networks"). The solves themselves — Nash, optimum and
+// the followers' induced equilibrium under a Leader preload — all go
+// through solve_equilibrium (solver/backend.h).
 #pragma once
 
 #include <span>
@@ -8,94 +10,11 @@
 #include "stackroute/network/instance.h"
 #include "stackroute/network/paths.h"
 #include "stackroute/solver/backend.h"
-#include "stackroute/solver/traffic_assignment.h"
 
 namespace stackroute {
 
-struct NetworkAssignment {
-  std::vector<double> edge_flow;                       // by EdgeId
-  std::vector<std::vector<PathFlow>> commodity_paths;  // [commodity]
-  /// Total cost C(f) = Σ_e f_e·ℓ_e(f_e) with the instance's own latencies
-  /// (no preload): the quantity the paper compares.
-  double cost = 0.0;
-  /// converged == solve_ok(status); kept for existing call sites.
-  bool converged = false;
-  /// How the underlying assignment solve ended (see solver/status.h).
-  SolveStatus status = SolveStatus::kConverged;
-  /// Achieved path-cost spread of the underlying solve — the honest
-  /// quality bound on a degraded assignment.
-  double spread = 0.0;
-};
-
-/// Wardrop equilibrium of the instance (no Leader).
-NetworkAssignment solve_nash(const NetworkInstance& inst,
-                             const AssignmentOptions& opts = {});
-
-/// System optimum of the instance.
-NetworkAssignment solve_optimum(const NetworkInstance& inst,
-                                const AssignmentOptions& opts = {});
-
-/// Followers' equilibrium given a Leader edge preload. The instance's
-/// demands must already be the *followers'* demands (the caller subtracts
-/// whatever the Leader controls); `edge_flow`/`commodity_paths` are the
-/// followers' flows only, while `cost` is C(S + T) — evaluated at
-/// preload + follower flow on the original latencies.
-NetworkAssignment solve_induced(const NetworkInstance& inst,
-                                std::span<const double> preload,
-                                const AssignmentOptions& opts = {});
-
-/// Workspace-reusing variants (see solver/workspace.h); MOP passes one
-/// workspace through its optimum and induced solves.
-NetworkAssignment solve_nash(const NetworkInstance& inst,
-                             const AssignmentOptions& opts,
-                             SolverWorkspace& ws);
-NetworkAssignment solve_optimum(const NetworkInstance& inst,
-                                const AssignmentOptions& opts,
-                                SolverWorkspace& ws);
-NetworkAssignment solve_induced(const NetworkInstance& inst,
-                                std::span<const double> preload,
-                                const AssignmentOptions& opts,
-                                SolverWorkspace& ws);
-
-/// Warm-started variants for chained solves along a sweep axis: `warm` is
-/// the converged decomposition of the same network at a nearby demand (see
-/// AssignmentWarmStart in solver/traffic_assignment.h — an ill-fitting
-/// payload silently falls back to the cold start, and warm/cold answers
-/// agree to opts.tol either way).
-NetworkAssignment solve_nash(const NetworkInstance& inst,
-                             const AssignmentOptions& opts,
-                             SolverWorkspace& ws,
-                             const AssignmentWarmStart& warm);
-NetworkAssignment solve_optimum(const NetworkInstance& inst,
-                                const AssignmentOptions& opts,
-                                SolverWorkspace& ws,
-                                const AssignmentWarmStart& warm);
-NetworkAssignment solve_induced(const NetworkInstance& inst,
-                                std::span<const double> preload,
-                                const AssignmentOptions& opts,
-                                SolverWorkspace& ws,
-                                const AssignmentWarmStart& warm);
-
-/// Backend-dispatched variants (see solver/backend.h): the equilibrium is
-/// solved by whichever backend `req` names, warm state flows through the
-/// backend-tagged EquilibriumWarmState (either pointer may be null, and
-/// they may alias). With the default request this is byte-for-byte the
-/// legacy path-equalization call above. `commodity_paths` is populated by
-/// the path-equalization backend only; the Wardrop checker needs it, edge
-/// costs do not.
-NetworkAssignment solve_nash(const NetworkInstance& inst,
-                             const EquilibriumRequest& req,
-                             SolverWorkspace& ws,
-                             const EquilibriumWarmState* warm_in,
-                             EquilibriumWarmState* warm_out);
-NetworkAssignment solve_induced(const NetworkInstance& inst,
-                                std::span<const double> preload,
-                                const EquilibriumRequest& req,
-                                SolverWorkspace& ws,
-                                const EquilibriumWarmState* warm_in,
-                                EquilibriumWarmState* warm_out);
-
-/// C(f) on the instance's latencies.
+/// C(f) on the instance's latencies. For an induced solve, C(S+T) is
+/// cost(inst, preload + follower flow).
 double cost(const NetworkInstance& inst, std::span<const double> edge_flow);
 
 /// Wardrop condition for follower path flows under `preload` (pass an

@@ -3,6 +3,7 @@
 // of the paper are stated in terms of.
 #pragma once
 
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -10,6 +11,10 @@
 #include "stackroute/solver/water_filling.h"
 
 namespace stackroute {
+
+/// The cold-start level hint (any non-finite hint means cold).
+inline constexpr double kNoLevelHint =
+    std::numeric_limits<double>::quiet_NaN();
 
 struct LinkAssignment {
   std::vector<double> flows;
@@ -24,56 +29,40 @@ struct LinkAssignment {
   double supply_gap = 0.0;
 };
 
+// Every solve below takes the same trailing knobs, all optional:
+//   tol         water-filling tolerance on the level;
+//   ws          workspace reused across solves (null = a private one; see
+//               solver/workspace.h) — OpTop's round recursion and the
+//               engine's sessions pass theirs;
+//   level_hint  the converged level of the same system at a nearby demand
+//               (NaN = cold; see water_filling.h — a hint steers the root
+//               bracket only, any hint yields the cold answer to `tol`);
+//   budget      see SolveBudget in solver/status.h: a budget hit or
+//               numeric failure degrades the result (status/supply_gap)
+//               instead of throwing. Pass an armed budget to share one
+//               deadline across a pipeline.
+
 /// The Nash assignment N of (M, r): unique for strictly increasing
 /// latencies; with constant links, unique up to the cost-invariant split
 /// of plateau flow (Remark 2.5).
-LinkAssignment solve_nash(const ParallelLinks& m, double tol = 1e-13);
+LinkAssignment solve_nash(const ParallelLinks& m, double tol = 1e-13,
+                          SolverWorkspace* ws = nullptr,
+                          double level_hint = kNoLevelHint,
+                          const SolveBudget& budget = {});
 
 /// The optimum assignment O of (M, r).
-LinkAssignment solve_optimum(const ParallelLinks& m, double tol = 1e-13);
+LinkAssignment solve_optimum(const ParallelLinks& m, double tol = 1e-13,
+                             SolverWorkspace* ws = nullptr,
+                             double level_hint = kNoLevelHint,
+                             const SolveBudget& budget = {});
 
 /// The induced Nash T of the followers' flow (demand − Σ preload) given
 /// the Leader's strategy `preload` (flows are the followers' part only).
 LinkAssignment solve_induced(const ParallelLinks& m,
                              std::span<const double> preload,
-                             double tol = 1e-13);
-
-/// Workspace-reusing variants (see solver/workspace.h): one workspace
-/// across repeated solves — OpTop's round recursion is the main caller —
-/// keeps the water-filling setup allocation-free.
-LinkAssignment solve_nash(const ParallelLinks& m, double tol,
-                          SolverWorkspace& ws);
-LinkAssignment solve_optimum(const ParallelLinks& m, double tol,
-                             SolverWorkspace& ws);
-LinkAssignment solve_induced(const ParallelLinks& m,
-                             std::span<const double> preload, double tol,
-                             SolverWorkspace& ws);
-
-/// Warm-started variants for chained solves: `level_hint` is the converged
-/// level of the same system at a nearby demand (see water_filling.h for
-/// the bracketing semantics — a non-finite hint falls back to the cold
-/// path, and any hint yields the cold answer to `tol`).
-LinkAssignment solve_nash(const ParallelLinks& m, double tol,
-                          SolverWorkspace& ws, double level_hint);
-LinkAssignment solve_optimum(const ParallelLinks& m, double tol,
-                             SolverWorkspace& ws, double level_hint);
-LinkAssignment solve_induced(const ParallelLinks& m,
-                             std::span<const double> preload, double tol,
-                             SolverWorkspace& ws, double level_hint);
-
-/// Budgeted variants (see SolveBudget in solver/status.h): a budget hit or
-/// numeric failure degrades the result (status/supply_gap) instead of
-/// throwing. Pass an armed budget to share one deadline across a pipeline.
-LinkAssignment solve_nash(const ParallelLinks& m, double tol,
-                          SolverWorkspace& ws, double level_hint,
-                          const SolveBudget& budget);
-LinkAssignment solve_optimum(const ParallelLinks& m, double tol,
-                             SolverWorkspace& ws, double level_hint,
-                             const SolveBudget& budget);
-LinkAssignment solve_induced(const ParallelLinks& m,
-                             std::span<const double> preload, double tol,
-                             SolverWorkspace& ws, double level_hint,
-                             const SolveBudget& budget);
+                             double tol = 1e-13, SolverWorkspace* ws = nullptr,
+                             double level_hint = kNoLevelHint,
+                             const SolveBudget& budget = {});
 
 /// C(X) = Σ_i x_i·ℓ_i(x_i).
 double cost(const ParallelLinks& m, std::span<const double> flows);

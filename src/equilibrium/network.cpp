@@ -5,149 +5,8 @@
 #include "stackroute/network/dijkstra.h"
 #include "stackroute/solver/objective.h"
 #include "stackroute/util/error.h"
-#include "stackroute/util/numeric.h"
 
 namespace stackroute {
-
-namespace {
-NetworkAssignment from_assignment(const NetworkInstance& inst,
-                                  AssignmentResult&& r) {
-  NetworkAssignment out;
-  out.edge_flow = std::move(r.edge_flow);
-  out.commodity_paths = std::move(r.commodity_paths);
-  out.converged = r.converged;
-  out.status = r.status;
-  out.spread = r.spread;
-  out.cost = cost(inst, out.edge_flow);
-  return out;
-}
-}  // namespace
-
-NetworkAssignment solve_nash(const NetworkInstance& inst,
-                             const AssignmentOptions& opts) {
-  SolverWorkspace ws;
-  return solve_nash(inst, opts, ws);
-}
-
-NetworkAssignment solve_optimum(const NetworkInstance& inst,
-                                const AssignmentOptions& opts) {
-  SolverWorkspace ws;
-  return solve_optimum(inst, opts, ws);
-}
-
-NetworkAssignment solve_induced(const NetworkInstance& inst,
-                                std::span<const double> preload,
-                                const AssignmentOptions& opts) {
-  SolverWorkspace ws;
-  return solve_induced(inst, preload, opts, ws);
-}
-
-NetworkAssignment solve_nash(const NetworkInstance& inst,
-                             const AssignmentOptions& opts,
-                             SolverWorkspace& ws) {
-  return solve_nash(inst, opts, ws, AssignmentWarmStart{});
-}
-
-NetworkAssignment solve_optimum(const NetworkInstance& inst,
-                                const AssignmentOptions& opts,
-                                SolverWorkspace& ws) {
-  return solve_optimum(inst, opts, ws, AssignmentWarmStart{});
-}
-
-NetworkAssignment solve_induced(const NetworkInstance& inst,
-                                std::span<const double> preload,
-                                const AssignmentOptions& opts,
-                                SolverWorkspace& ws) {
-  return solve_induced(inst, preload, opts, ws, AssignmentWarmStart{});
-}
-
-NetworkAssignment solve_nash(const NetworkInstance& inst,
-                             const AssignmentOptions& opts,
-                             SolverWorkspace& ws,
-                             const AssignmentWarmStart& warm) {
-  return from_assignment(
-      inst, assign_traffic(inst, FlowObjective::kBeckmann, {}, opts, ws, warm));
-}
-
-NetworkAssignment solve_optimum(const NetworkInstance& inst,
-                                const AssignmentOptions& opts,
-                                SolverWorkspace& ws,
-                                const AssignmentWarmStart& warm) {
-  return from_assignment(
-      inst,
-      assign_traffic(inst, FlowObjective::kTotalCost, {}, opts, ws, warm));
-}
-
-NetworkAssignment solve_induced(const NetworkInstance& inst,
-                                std::span<const double> preload,
-                                const AssignmentOptions& opts,
-                                SolverWorkspace& ws,
-                                const AssignmentWarmStart& warm) {
-  AssignmentResult r =
-      assign_traffic(inst, FlowObjective::kBeckmann, preload, opts, ws, warm);
-  NetworkAssignment out;
-  out.edge_flow = std::move(r.edge_flow);
-  out.commodity_paths = std::move(r.commodity_paths);
-  out.converged = r.converged;
-  out.status = r.status;
-  out.spread = r.spread;
-  // C(S+T): combined flow on the instance's own latencies.
-  SR_REQUIRE(preload.size() == out.edge_flow.size(),
-             "preload vector must have one entry per edge");
-  std::vector<double> combined = add(preload, out.edge_flow);
-  out.cost = cost(inst, combined);
-  return out;
-}
-
-namespace {
-NetworkAssignment from_equilibrium(const NetworkInstance& inst,
-                                   EquilibriumResult&& r) {
-  NetworkAssignment out;
-  out.edge_flow = std::move(r.edge_flow);
-  out.commodity_paths = std::move(r.commodity_paths);
-  out.converged = r.converged;
-  out.status = r.status;
-  out.spread = r.spread;
-  out.cost = cost(inst, out.edge_flow);
-  return out;
-}
-}  // namespace
-
-NetworkAssignment solve_nash(const NetworkInstance& inst,
-                             const EquilibriumRequest& req,
-                             SolverWorkspace& ws,
-                             const EquilibriumWarmState* warm_in,
-                             EquilibriumWarmState* warm_out) {
-  EquilibriumRequest nash = req;
-  nash.objective = FlowObjective::kBeckmann;
-  return from_equilibrium(inst,
-                          solve_equilibrium(inst, {}, nash, ws, warm_in,
-                                            warm_out));
-}
-
-NetworkAssignment solve_induced(const NetworkInstance& inst,
-                                std::span<const double> preload,
-                                const EquilibriumRequest& req,
-                                SolverWorkspace& ws,
-                                const EquilibriumWarmState* warm_in,
-                                EquilibriumWarmState* warm_out) {
-  EquilibriumRequest nash = req;
-  nash.objective = FlowObjective::kBeckmann;
-  EquilibriumResult r =
-      solve_equilibrium(inst, preload, nash, ws, warm_in, warm_out);
-  NetworkAssignment out;
-  out.edge_flow = std::move(r.edge_flow);
-  out.commodity_paths = std::move(r.commodity_paths);
-  out.converged = r.converged;
-  out.status = r.status;
-  out.spread = r.spread;
-  // C(S+T): combined flow on the instance's own latencies.
-  SR_REQUIRE(preload.size() == out.edge_flow.size(),
-             "preload vector must have one entry per edge");
-  std::vector<double> combined = add(preload, out.edge_flow);
-  out.cost = cost(inst, combined);
-  return out;
-}
 
 double cost(const NetworkInstance& inst, std::span<const double> edge_flow) {
   const std::vector<LatencyPtr> lat = inst.graph.latencies();
@@ -193,10 +52,18 @@ bool satisfies_wardrop(const NetworkInstance& inst,
 
 double price_of_anarchy(const NetworkInstance& inst,
                         const AssignmentOptions& opts) {
-  const NetworkAssignment n = solve_nash(inst, opts);
-  const NetworkAssignment o = solve_optimum(inst, opts);
-  SR_REQUIRE(o.cost > 0.0, "optimum cost is zero; PoA undefined");
-  return n.cost / o.cost;
+  SolverWorkspace ws;
+  EquilibriumRequest req;
+  req.assignment = opts;
+  const double n =
+      cost(inst, solve_equilibrium(inst, {}, req, ws, nullptr, nullptr)
+                     .edge_flow);
+  req.objective = FlowObjective::kTotalCost;
+  const double o =
+      cost(inst, solve_equilibrium(inst, {}, req, ws, nullptr, nullptr)
+                     .edge_flow);
+  SR_REQUIRE(o > 0.0, "optimum cost is zero; PoA undefined");
+  return n / o;
 }
 
 }  // namespace stackroute

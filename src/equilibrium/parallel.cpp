@@ -1,7 +1,6 @@
 #include "stackroute/equilibrium/parallel.h"
 
 #include <cmath>
-#include <limits>
 
 #include "stackroute/latency/families.h"
 #include "stackroute/util/error.h"
@@ -12,7 +11,16 @@ namespace stackroute {
 
 namespace {
 
-LinkAssignment from_water_fill(WaterFillingResult&& wf) {
+/// One water-filling solve as a LinkAssignment, on `ws` when given and on
+/// a private workspace otherwise.
+LinkAssignment water_fill_links(std::span<const LatencyPtr> links,
+                                double demand, LevelKind kind, double tol,
+                                SolverWorkspace* ws, double level_hint,
+                                const SolveBudget& budget) {
+  SolverWorkspace own;
+  WaterFillingResult wf = water_fill(links, demand, kind, tol,
+                                     ws != nullptr ? *ws : own, level_hint,
+                                     budget);
   LinkAssignment out;
   out.flows = std::move(wf.flows);
   out.level = wf.level;
@@ -39,75 +47,25 @@ std::vector<LatencyPtr> shifted_links(const ParallelLinks& m,
 
 }  // namespace
 
-LinkAssignment solve_nash(const ParallelLinks& m, double tol) {
-  SolverWorkspace ws;
-  return solve_nash(m, tol, ws);
-}
-
-LinkAssignment solve_optimum(const ParallelLinks& m, double tol) {
-  SolverWorkspace ws;
-  return solve_optimum(m, tol, ws);
-}
-
-LinkAssignment solve_induced(const ParallelLinks& m,
-                             std::span<const double> preload, double tol) {
-  SolverWorkspace ws;
-  return solve_induced(m, preload, tol, ws);
-}
-
 LinkAssignment solve_nash(const ParallelLinks& m, double tol,
-                          SolverWorkspace& ws) {
-  return solve_nash(m, tol, ws, std::numeric_limits<double>::quiet_NaN());
-}
-
-LinkAssignment solve_optimum(const ParallelLinks& m, double tol,
-                             SolverWorkspace& ws) {
-  return solve_optimum(m, tol, ws, std::numeric_limits<double>::quiet_NaN());
-}
-
-LinkAssignment solve_induced(const ParallelLinks& m,
-                             std::span<const double> preload, double tol,
-                             SolverWorkspace& ws) {
-  return solve_induced(m, preload, tol, ws,
-                       std::numeric_limits<double>::quiet_NaN());
-}
-
-LinkAssignment solve_nash(const ParallelLinks& m, double tol,
-                          SolverWorkspace& ws, double level_hint) {
-  return solve_nash(m, tol, ws, level_hint, SolveBudget{});
-}
-
-LinkAssignment solve_optimum(const ParallelLinks& m, double tol,
-                             SolverWorkspace& ws, double level_hint) {
-  return solve_optimum(m, tol, ws, level_hint, SolveBudget{});
-}
-
-LinkAssignment solve_induced(const ParallelLinks& m,
-                             std::span<const double> preload, double tol,
-                             SolverWorkspace& ws, double level_hint) {
-  return solve_induced(m, preload, tol, ws, level_hint, SolveBudget{});
-}
-
-LinkAssignment solve_nash(const ParallelLinks& m, double tol,
-                          SolverWorkspace& ws, double level_hint,
+                          SolverWorkspace* ws, double level_hint,
                           const SolveBudget& budget) {
   m.validate();
-  return from_water_fill(water_fill(m.links, m.demand, LevelKind::kLatency,
-                                    tol, ws, level_hint, budget));
+  return water_fill_links(m.links, m.demand, LevelKind::kLatency, tol, ws,
+                          level_hint, budget);
 }
 
 LinkAssignment solve_optimum(const ParallelLinks& m, double tol,
-                             SolverWorkspace& ws, double level_hint,
+                             SolverWorkspace* ws, double level_hint,
                              const SolveBudget& budget) {
   m.validate();
-  return from_water_fill(water_fill(m.links, m.demand,
-                                    LevelKind::kMarginalCost, tol, ws,
-                                    level_hint, budget));
+  return water_fill_links(m.links, m.demand, LevelKind::kMarginalCost, tol,
+                          ws, level_hint, budget);
 }
 
 LinkAssignment solve_induced(const ParallelLinks& m,
                              std::span<const double> preload, double tol,
-                             SolverWorkspace& ws, double level_hint,
+                             SolverWorkspace* ws, double level_hint,
                              const SolveBudget& budget) {
   m.validate();
   const std::vector<LatencyPtr> links = shifted_links(m, preload);
@@ -115,9 +73,8 @@ LinkAssignment solve_induced(const ParallelLinks& m,
   SR_REQUIRE(controlled <= m.demand + 1e-9 * std::fmax(1.0, m.demand),
              "Leader preload exceeds total demand");
   const double rest = std::fmax(0.0, m.demand - controlled);
-  return from_water_fill(
-      water_fill(links, rest, LevelKind::kLatency, tol, ws, level_hint,
-                 budget));
+  return water_fill_links(links, rest, LevelKind::kLatency, tol, ws,
+                          level_hint, budget);
 }
 
 double cost(const ParallelLinks& m, std::span<const double> flows) {

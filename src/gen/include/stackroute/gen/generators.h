@@ -19,7 +19,7 @@
 namespace stackroute::gen {
 
 /// Either input shape of the paper's algorithms. Structurally identical
-/// to sweep::Instance, so generated instances flow into the sweep layer
+/// to engine::Instance, so generated instances flow into the sweep layer
 /// without conversion.
 using GeneratedInstance = std::variant<ParallelLinks, NetworkInstance>;
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "stackroute/util/error.h"
 
@@ -32,6 +33,21 @@ bool fw_seed_usable(const EquilibriumWarmState& warm,
     }
   }
   return true;
+}
+
+/// The fields every backend's result shares.
+template <typename BackendResult>
+void take_common(EquilibriumResult& out, BackendResult& r) {
+  out.edge_flow = std::move(r.edge_flow);
+  out.objective = r.objective;
+  out.status = r.status;
+  out.counters = r.counters;
+}
+
+/// The per-commodity demands a warm payload was converged at.
+void snapshot_demands(const NetworkInstance& inst, std::vector<double>& out) {
+  out.clear();
+  for (const Commodity& com : inst.commodities) out.push_back(com.demand);
 }
 
 }  // namespace
@@ -96,27 +112,17 @@ EquilibriumResult solve_equilibrium(const NetworkInstance& inst,
           warm_in->backend == EquilibriumBackend::kPathEqualization) {
         seed = &warm_in->paths;
       }
-      AssignmentResult r =
-          seed != nullptr
-              ? assign_traffic(inst, req.objective, preload, opts, ws, *seed)
-              : assign_traffic(inst, req.objective, preload, opts, ws,
-                               AssignmentWarmStart{});
-      out.edge_flow = std::move(r.edge_flow);
+      static const AssignmentWarmStart kCold;
+      AssignmentResult r = assign_traffic(inst, req.objective, preload, opts,
+                                          ws, seed != nullptr ? *seed : kCold);
+      take_common(out, r);
       out.commodity_paths = std::move(r.commodity_paths);
-      out.objective = r.objective;
       out.spread = r.spread;
       out.iterations = r.sweeps;
-      out.converged = r.converged;
-      out.status = r.status;
-      out.counters = r.counters;
       if (warm_out != nullptr) {
         warm_out->prepare(EquilibriumBackend::kPathEqualization);
         warm_out->paths.commodity_paths = out.commodity_paths;
-        warm_out->paths.demands.clear();
-        warm_out->paths.demands.reserve(inst.commodities.size());
-        for (const Commodity& com : inst.commodities) {
-          warm_out->paths.demands.push_back(com.demand);
-        }
+        snapshot_demands(inst, warm_out->paths.demands);
       }
       break;
     }
@@ -133,22 +139,14 @@ EquilibriumResult solve_equilibrium(const NetworkInstance& inst,
       }
       FrankWolfeResult r = frank_wolfe(inst, req.objective, preload, opts, ws,
                                        seed_flow, seed_demand);
-      out.edge_flow = std::move(r.edge_flow);
-      out.objective = r.objective;
+      take_common(out, r);
       out.rel_gap = r.rel_gap;
       out.iterations = r.iterations;
-      out.converged = r.converged;
-      out.status = r.status;
-      out.counters = r.counters;
       if (warm_out != nullptr) {
         warm_out->prepare(EquilibriumBackend::kFrankWolfe);
         warm_out->fw_flow = out.edge_flow;
         warm_out->fw_demand = inst.total_demand();
-        warm_out->fw_demands.clear();
-        warm_out->fw_demands.reserve(inst.commodities.size());
-        for (const Commodity& com : inst.commodities) {
-          warm_out->fw_demands.push_back(com.demand);
-        }
+        snapshot_demands(inst, warm_out->fw_demands);
       }
       break;
     }
@@ -170,17 +168,22 @@ EquilibriumResult solve_equilibrium(const NetworkInstance& inst,
       }
       BushResult r = solve_bush(inst, req.objective, preload, opts, ws,
                                 tl_bush_ws, seed, publish);
-      out.edge_flow = std::move(r.edge_flow);
-      out.objective = r.objective;
+      take_common(out, r);
       out.rel_gap = r.rel_gap;
       out.iterations = r.iterations;
-      out.converged = r.converged;
-      out.status = r.status;
-      out.counters = r.counters;
       break;
     }
   }
   return out;
+}
+
+EquilibriumResult solve_equilibrium(const NetworkInstance& inst,
+                                    FlowObjective objective,
+                                    std::span<const double> preload) {
+  EquilibriumRequest req;
+  req.objective = objective;
+  SolverWorkspace ws;
+  return solve_equilibrium(inst, preload, req, ws, nullptr, nullptr);
 }
 
 }  // namespace stackroute

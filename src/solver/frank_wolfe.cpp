@@ -251,7 +251,6 @@ FrankWolfeResult fw_run(const NetworkInstance& inst, FlowObjective objective,
           objective_value(table, result.edge_flow, objective));
     }
   }
-  result.converged = solve_ok(result.status);
   result.objective = objective_value(table, result.edge_flow, objective);
   obs::count(&obs::SolveCounters::fw_iterations,
              static_cast<std::uint64_t>(result.iterations));

@@ -1,12 +1,15 @@
-// The pluggable equilibrium-backend seam.
+// The pluggable equilibrium-backend seam: the one way to solve a network
+// equilibrium or optimum.
 //
-// Every layer that needs a Wardrop equilibrium — equilibrium/'s
-// solve_nash, the engine's typed batch requests, sweep scenarios, the
-// serve protocol — now names a backend from the registry below instead of
-// a solver function, and funnels through solve_equilibrium(). The three
-// backends minimize the same convex program and agree on the equilibrium
-// cost to their tolerances; they differ in what they return and where they
-// are fast:
+// Every network solve in the library — MOP's optimum and induced solves,
+// the Leader strategies' follower solves, tolls, the engine's typed
+// requests, sweep metrics, the serve protocol — builds an
+// EquilibriumRequest and calls solve_equilibrium(). The request names the
+// convex program (Nash or optimum) and the backend; a non-empty preload
+// makes it the followers' induced equilibrium. The three backends
+// minimize the same convex program and agree on the equilibrium cost to
+// their tolerances; they differ in what they return and where they are
+// fast:
 //
 //   kPathEqualization  explicit path decomposition per commodity (what MOP
 //                      and the Wardrop checker need); linear convergence;
@@ -82,7 +85,6 @@ struct EquilibriumResult {
   double spread = 0.0;
   double rel_gap = 0.0;
   int iterations = 0;
-  bool converged = false;
   SolveStatus status = SolveStatus::kConverged;
   obs::SolveCounters counters;
 };
@@ -117,13 +119,24 @@ struct EquilibriumWarmState {
 /// contract) and, when `warm_out` is non-null, publishing the converged
 /// state back for the next solve in the chain. `warm_in` and `warm_out`
 /// may alias. With the default backend and an untagged/empty request this
-/// is byte-for-byte the legacy assign_traffic call — the frozen sweep
-/// tables rely on that.
+/// is byte-for-byte the assign_traffic call — the frozen sweep tables rely
+/// on that. With a preload, `edge_flow` is the followers' flow only; the
+/// combined cost C(S+T) is cost(inst, preload + edge_flow) (see
+/// equilibrium/network.h).
 EquilibriumResult solve_equilibrium(const NetworkInstance& inst,
                                     std::span<const double> preload,
                                     const EquilibriumRequest& req,
                                     SolverWorkspace& ws,
                                     const EquilibriumWarmState* warm_in,
                                     EquilibriumWarmState* warm_out);
+
+/// Convenience for tests and examples: one cold path-equalization solve
+/// with default options on a private workspace — solve_equilibrium(inst)
+/// for the Nash flow, (inst, FlowObjective::kTotalCost) for the optimum,
+/// (inst, FlowObjective::kBeckmann, preload) for the induced flow.
+EquilibriumResult solve_equilibrium(
+    const NetworkInstance& inst,
+    FlowObjective objective = FlowObjective::kBeckmann,
+    std::span<const double> preload = {});
 
 }  // namespace stackroute

@@ -53,8 +53,6 @@ struct BushResult {
   /// `edge_flow` whether or not the solve converged.
   double rel_gap = 0.0;
   int iterations = 0;
-  /// converged == solve_ok(status); kept for symmetry with the siblings.
-  bool converged = false;
   SolveStatus status = SolveStatus::kConverged;
   /// This solve's work counters — all zero unless the calling thread had a
   /// counter sink installed (obs::CountersScope).

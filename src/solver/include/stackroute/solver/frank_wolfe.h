@@ -41,8 +41,6 @@ struct FrankWolfeResult {
   /// `edge_flow` whether or not the solve converged.
   double rel_gap = 0.0;
   int iterations = 0;
-  /// converged == solve_ok(status); kept for existing call sites.
-  bool converged = false;
   /// How the solve ended. A degraded status means `edge_flow` is the
   /// best-so-far feasible iterate with quality bound `rel_gap`.
   SolveStatus status = SolveStatus::kConverged;

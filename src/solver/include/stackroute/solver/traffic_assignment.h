@@ -49,8 +49,6 @@ struct AssignmentResult {
   /// pair move) — the solver's cost driver, reported so warm-start wins
   /// are observable.
   int steps = 0;
-  /// converged == solve_ok(status); kept for existing call sites.
-  bool converged = false;
   /// How the solve ended. A degraded status means the flows/paths are the
   /// best-so-far feasible state with quality bound `spread`.
   SolveStatus status = SolveStatus::kConverged;
@@ -70,13 +68,6 @@ AssignmentResult assign_traffic(const NetworkInstance& inst,
                                 std::span<const double> preload = {},
                                 const AssignmentOptions& opts = {});
 
-/// Same, reusing the caller's workspace across calls (see workspace.h).
-AssignmentResult assign_traffic(const NetworkInstance& inst,
-                                FlowObjective objective,
-                                std::span<const double> preload,
-                                const AssignmentOptions& opts,
-                                SolverWorkspace& ws);
-
 /// Converged state of a prior assign_traffic run on the *same* graph and
 /// latencies at (possibly) different demands — the warm-start payload for
 /// chained solves along a sweep axis.
@@ -88,20 +79,21 @@ struct AssignmentWarmStart {
   [[nodiscard]] bool empty() const { return commodity_paths.empty(); }
 };
 
-/// Warm-started variant: seeds each commodity's active path set with the
-/// prior paths, flows scaled per commodity by r_new/r_old (the
-/// demand-rescaling projection; an exact fix-up on the largest path keeps
-/// feasibility bitwise). A payload that does not fit the instance —
-/// commodity count mismatch, non-positive prior demand, or any path that
-/// is not a valid s_i-t_i path of this graph — falls back to the cold
-/// all-or-nothing start, so a stale payload can cost time but never
-/// correctness. Warm and cold runs converge to the same equilibrium to
+/// Same, reusing the caller's workspace across calls (see workspace.h),
+/// optionally warm-started: a non-empty `warm` seeds each commodity's
+/// active path set with the prior paths, flows scaled per commodity by
+/// r_new/r_old (the demand-rescaling projection; an exact fix-up on the
+/// largest path keeps feasibility bitwise). A payload that does not fit
+/// the instance — commodity count mismatch, non-positive prior demand, or
+/// any path that is not a valid s_i-t_i path of this graph — falls back
+/// to the cold all-or-nothing start, so a stale payload can cost time but
+/// never correctness. Warm and cold runs converge to the same equilibrium to
 /// opts.tol (unique edge flows for strictly increasing latencies).
 AssignmentResult assign_traffic(const NetworkInstance& inst,
                                 FlowObjective objective,
                                 std::span<const double> preload,
                                 const AssignmentOptions& opts,
                                 SolverWorkspace& ws,
-                                const AssignmentWarmStart& warm);
+                                const AssignmentWarmStart& warm = {});
 
 }  // namespace stackroute

@@ -556,7 +556,6 @@ AssignmentResult assign_run(const NetworkInstance& inst,
   } catch (const NumericError&) {
     result.status = SolveStatus::kNumericFailure;
   }
-  result.converged = solve_ok(result.status);
 
   result.commodity_paths.resize(k);
   for (std::size_t i = 0; i < k; ++i) {
@@ -591,15 +590,6 @@ AssignmentResult assign_traffic(const NetworkInstance& inst,
                                 const AssignmentOptions& opts) {
   SolverWorkspace ws;
   return assign_traffic(inst, objective, preload, opts, ws);
-}
-
-AssignmentResult assign_traffic(const NetworkInstance& inst,
-                                FlowObjective objective,
-                                std::span<const double> preload,
-                                const AssignmentOptions& opts,
-                                SolverWorkspace& ws) {
-  return assign_traffic(inst, objective, preload, opts, ws,
-                        AssignmentWarmStart{});
 }
 
 AssignmentResult assign_traffic(const NetworkInstance& inst,

@@ -9,11 +9,9 @@
 // and engine service requests share one battle-tested solve path. Custom
 // metrics are plain lambdas; the builtin ones dispatch on the instance
 // shape: β via op_top on parallel links and mop on networks, C(N)/C(O)/
-// C(S+T) from the cached results, and solver round counts.
-//
-// The instance variant, chain-compatibility test and warm-chain state
-// moved to the engine layer with this split; the sweep names below are
-// aliases kept for the existing call sites (tests, benches, the CLI).
+// C(S+T) from the cached results, and solver round counts. The instance
+// variant (engine::Instance), the chain-compatibility test and the
+// warm-chain state (engine::SolveSession) live in the engine layer.
 #pragma once
 
 #include <any>
@@ -30,45 +28,20 @@
 
 namespace stackroute::sweep {
 
-/// The two input shapes of the paper's algorithms, as one sweepable type
-/// (now owned by the engine layer).
-using Instance = engine::Instance;
-
-/// Pointer-identity chain compatibility — see engine/instance.h. This is
-/// the sweep determinism contract's test: chains hold the previous
-/// instance alive, and identical pointers guarantee identical
-/// compilation, hence bitwise-stable tables.
-using engine::chain_compatible;
-
-/// The classical Stackelberg baselines exposed as sweep metrics (see
-/// core/strategy.h). Aloof ignores the grid's "alpha" parameter; SCALE and
-/// LLF read it per point.
-using StrategyKind = engine::StrategyKind;
-
-/// Converged baseline-strategy solver state carried along an α-sweep
-/// chain (see engine/session.h).
-using StrategyChainState = engine::StrategyWarmState;
-
-/// Cross-task warm-start state carried along one chain of a sweep (see
-/// runner.h) — the engine's SolveSession: the workspace shared by the
-/// chain's tasks, the previous task's instance, and the converged solver
-/// state that task produced. Confined to one chain, hence one thread.
-using ChainContext = engine::SolveSession;
-
 /// Per-task evaluation context with memoized solver results: an
 /// engine::Evaluation bound to the task's grid point.
 class TaskEval {
  public:
-  TaskEval(const ParamPoint& point, const Instance& instance)
+  TaskEval(const ParamPoint& point, const engine::Instance& instance)
       : TaskEval(point, instance, nullptr) {}
 
   /// Chained variant: solves run on `chain`'s workspace, warm-started from
-  /// the previous task's converged state whenever chain_compatible holds
-  /// (otherwise the payloads are reset and this task solves cold). The
-  /// runner calls finish_chain() after the metrics to publish this task's
-  /// instance as the next task's warm anchor.
-  TaskEval(const ParamPoint& point, const Instance& instance,
-           ChainContext* chain)
+  /// the previous task's converged state whenever engine::chain_compatible
+  /// holds (otherwise the payloads are reset and this task solves cold).
+  /// The runner calls finish_chain() after the metrics to publish this
+  /// task's instance as the next task's warm anchor.
+  TaskEval(const ParamPoint& point, const engine::Instance& instance,
+           engine::SolveSession* chain)
       : point_(point),
         eval_(instance, chain, engine::WarmPolicy::kPointerIdentity) {}
 
@@ -103,11 +76,6 @@ class TaskEval {
   const OpTopResult& optop() { return eval_.optop(); }
   /// Cached MOP run (networks only).
   const MopResult& mop_result() { return eval_.mop_result(); }
-  /// Cached Nash / optimum network assignments (networks only).
-  const NetworkAssignment& network_nash() { return eval_.network_nash(); }
-  const NetworkAssignment& network_optimum() {
-    return eval_.network_optimum();
-  }
 
   // Shape-dispatching accessors, usable from any metric.
   double beta() { return eval_.beta(); }  // β_M via OpTop or β_G via MOP
@@ -121,16 +89,16 @@ class TaskEval {
 
   /// Cached baseline-strategy evaluation at the point's "alpha" parameter
   /// (Aloof ignores alpha and reuses the Nash/optimum caches). Parallel
-  /// links evaluate against the OpTop optimum, networks against
-  /// network_optimum() — one optimum solve feeds every baseline of a task,
+  /// links evaluate against the OpTop optimum, networks against the
+  /// network optimum — one optimum solve feeds every baseline of a task,
   /// and chained α-sweeps warm-start each baseline's induced solve from
   /// the previous point's converged follower state.
-  double strategy_ratio(StrategyKind kind);  // C(S+T)/C(O)
-  double strategy_cost(StrategyKind kind);   // C(S+T)
+  double strategy_ratio(engine::StrategyKind kind);  // C(S+T)/C(O)
+  double strategy_cost(engine::StrategyKind kind);   // C(S+T)
 
   /// Smallest α at which `kind` reaches C(S+T) <= (1+eps)·C(O) (see
   /// engine::Evaluation::strategy_alpha_to_optimum).
-  double strategy_alpha_to_optimum(StrategyKind kind, double eps) {
+  double strategy_alpha_to_optimum(engine::StrategyKind kind, double eps) {
     return eval_.strategy_alpha_to_optimum(kind, eps);
   }
 
@@ -140,7 +108,9 @@ class TaskEval {
   /// argument must be the very instance this TaskEval was constructed
   /// over; it is moved into the chain (saving a per-task graph copy), so
   /// no metric may run afterwards.
-  void finish_chain(Instance&& instance) { eval_.finish(std::move(instance)); }
+  void finish_chain(engine::Instance&& instance) {
+    eval_.finish(std::move(instance));
+  }
 
   /// Memoizes an arbitrary intermediate result under `key` for this task's
   /// lifetime, so several custom metrics can share one expensive solve
@@ -177,13 +147,13 @@ Metric metric_optop_rounds();
 /// Baseline-strategy columns: "aloof_ratio" / "scale_ratio" / "llf_ratio"
 /// (SCALE and LLF require an "alpha" grid axis) and the matching "_cost"
 /// columns.
-Metric metric_strategy_ratio(StrategyKind kind);
-Metric metric_strategy_cost(StrategyKind kind);
+Metric metric_strategy_ratio(engine::StrategyKind kind);
+Metric metric_strategy_cost(engine::StrategyKind kind);
 
 /// "scale_alpha_star" / "llf_alpha_star": the α needed to get within eps
 /// of C(O) (see TaskEval::strategy_alpha_to_optimum). Expensive — each
 /// task runs ~30 induced solves — so reserve it for small grids.
-Metric metric_alpha_to_optimum(StrategyKind kind, double eps = 1e-3);
+Metric metric_alpha_to_optimum(engine::StrategyKind kind, double eps = 1e-3);
 
 /// {beta, poa, C(N), C(O), C(S+T)} — the paper's headline quantities.
 std::vector<Metric> default_metrics();

@@ -22,7 +22,8 @@
 
 namespace stackroute::sweep {
 
-using InstanceFactory = std::function<Instance(const ParamPoint&, Rng&)>;
+using InstanceFactory =
+    std::function<engine::Instance(const ParamPoint&, Rng&)>;
 
 struct ScenarioSpec {
   std::string name;
@@ -48,10 +49,10 @@ struct ScenarioSpec {
 
 /// Parses a serialized instance, auto-detecting the header keyword
 /// (`parallel_links` vs `network`, see io/serialize.h).
-Instance load_instance_text(const std::string& text);
+engine::Instance load_instance_text(const std::string& text);
 
 /// load_instance_text over a file's contents; throws on unreadable paths.
-Instance load_instance_file(const std::string& path);
+engine::Instance load_instance_file(const std::string& path);
 
 /// Resolves a repo-relative data file (e.g. the shipped SiouxFalls TNTP)
 /// for builtin scenarios, trying in order: the relative path itself from
@@ -68,13 +69,13 @@ std::string locate_data_file(const std::string& relative_path);
 InstanceFactory file_instance_source(std::string path);
 
 /// The same demand override, exposed for custom factories.
-void override_demand(Instance& instance, double demand);
+void override_demand(engine::Instance& instance, double demand);
 
 /// Multiplies the instance's demand by `factor` (> 0, finite) — parallel
 /// links scale their single demand, networks scale every commodity, so
 /// multicommodity splits are preserved. The seam fault-injected demand
 /// perturbations apply through (see util/fault.h).
-void scale_demand(Instance& instance, double factor);
+void scale_demand(engine::Instance& instance, double factor);
 
 /// Factory serving gen::generate(spec, seed) at every grid point — one
 /// fixed generated instance (like file_instance_source, but from the

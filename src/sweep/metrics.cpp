@@ -2,16 +2,23 @@
 
 namespace stackroute::sweep {
 
-double TaskEval::strategy_ratio(StrategyKind kind) {
-  // Same denominator the evaluations use, so ratio == cost/C(O) exactly.
-  return strategy_cost(kind) /
-         (is_parallel() ? optop().optimum_cost : network_optimum().cost);
+namespace {
+
+/// The point's α for SCALE/LLF; Aloof reads none, so its grid needs no
+/// "alpha" axis.
+double alpha_of(const ParamPoint& point, engine::StrategyKind kind) {
+  return kind == engine::StrategyKind::kAloof ? 0.0 : point.get("alpha");
 }
 
-double TaskEval::strategy_cost(StrategyKind kind) {
-  if (kind == StrategyKind::kAloof) return nash_cost();
-  // One α per task (the point's), cached per kind inside the Evaluation.
-  return eval_.strategy_cost(kind, point_.get("alpha"));
+}  // namespace
+
+// One α per task (the point's), cached per kind inside the Evaluation.
+double TaskEval::strategy_ratio(engine::StrategyKind kind) {
+  return eval_.strategy_ratio(kind, alpha_of(point_, kind));
+}
+
+double TaskEval::strategy_cost(engine::StrategyKind kind) {
+  return eval_.strategy_cost(kind, alpha_of(point_, kind));
 }
 
 Metric metric_beta() {
@@ -38,17 +45,17 @@ Metric metric_optop_rounds() {
   return {"optop_rounds", [](TaskEval& e) { return e.rounds(); }};
 }
 
-Metric metric_strategy_ratio(StrategyKind kind) {
+Metric metric_strategy_ratio(engine::StrategyKind kind) {
   return {std::string(engine::strategy_name(kind)) + "_ratio",
           [kind](TaskEval& e) { return e.strategy_ratio(kind); }};
 }
 
-Metric metric_strategy_cost(StrategyKind kind) {
+Metric metric_strategy_cost(engine::StrategyKind kind) {
   return {std::string(engine::strategy_name(kind)) + "_cost",
           [kind](TaskEval& e) { return e.strategy_cost(kind); }};
 }
 
-Metric metric_alpha_to_optimum(StrategyKind kind, double eps) {
+Metric metric_alpha_to_optimum(engine::StrategyKind kind, double eps) {
   return {std::string(engine::strategy_name(kind)) + "_alpha_star",
           [kind, eps](TaskEval& e) {
             return e.strategy_alpha_to_optimum(kind, eps);
@@ -62,9 +69,9 @@ std::vector<Metric> default_metrics() {
 
 std::vector<Metric> strategy_metrics() {
   return {metric_beta(), metric_optimum_cost(),
-          metric_strategy_ratio(StrategyKind::kAloof),
-          metric_strategy_ratio(StrategyKind::kScale),
-          metric_strategy_ratio(StrategyKind::kLlf)};
+          metric_strategy_ratio(engine::StrategyKind::kAloof),
+          metric_strategy_ratio(engine::StrategyKind::kScale),
+          metric_strategy_ratio(engine::StrategyKind::kLlf)};
 }
 
 }  // namespace stackroute::sweep

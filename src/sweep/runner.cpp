@@ -327,7 +327,7 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec,
         // next in axis order. With inactive layouts (length 1) the context
         // is never consulted across tasks, so solves run exactly as the
         // pre-chain cold path did.
-        ChainContext& ctx = *eng.session(session_ids[c]);
+        engine::SolveSession& ctx = *eng.session(session_ids[c]);
         // Tracing sinks live per chain (one thread each); counters per
         // task, installed below so each record tallies its own work.
         std::optional<obs::TraceScope> trace_scope;
@@ -367,7 +367,7 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec,
             try {
               rec.point = spec.grid.at(i);
               Rng rng(mix_seed(spec.base_seed, i));
-              Instance instance = spec.factory(rec.point, rng);
+              engine::Instance instance = spec.factory(rec.point, rng);
               if (tf != nullptr) {
                 if (attempt < tf->fail_times) {
                   throw fault::InjectedFault(

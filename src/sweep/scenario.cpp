@@ -35,7 +35,7 @@ bool has_suffix(const std::string& s, const std::string& suffix) {
 
 }  // namespace
 
-Instance load_instance_text(const std::string& text) {
+engine::Instance load_instance_text(const std::string& text) {
   if (looks_like_parallel_links(text)) {
     return parallel_links_from_string(text);
   }
@@ -68,7 +68,7 @@ std::string locate_data_file(const std::string& relative_path) {
   throw Error(msg);
 }
 
-Instance load_instance_file(const std::string& path) {
+engine::Instance load_instance_file(const std::string& path) {
   if (has_suffix(path, ".tntp")) {
     NetworkInstance net = read_tntp_network_file(path);
     SR_REQUIRE(net.graph.num_nodes() >= 2,
@@ -102,7 +102,7 @@ Instance load_instance_file(const std::string& path) {
   return load_instance_text(buffer.str());
 }
 
-void override_demand(Instance& instance, double demand) {
+void override_demand(engine::Instance& instance, double demand) {
   SR_REQUIRE(demand > 0.0, "demand override must be positive");
   if (auto* m = std::get_if<ParallelLinks>(&instance)) {
     m->demand = demand;
@@ -114,7 +114,7 @@ void override_demand(Instance& instance, double demand) {
   for (auto& c : net.commodities) c.demand *= demand / total;
 }
 
-void scale_demand(Instance& instance, double factor) {
+void scale_demand(engine::Instance& instance, double factor) {
   SR_REQUIRE(std::isfinite(factor) && factor > 0.0,
              "demand scale factor must be positive and finite");
   if (auto* m = std::get_if<ParallelLinks>(&instance)) {
@@ -129,9 +129,9 @@ void scale_demand(Instance& instance, double factor) {
 InstanceFactory file_instance_source(std::string path) {
   // Parse once up front (also surfaces bad files before the sweep starts);
   // tasks copy the prototype and apply their own demand.
-  auto prototype = std::make_shared<Instance>(load_instance_file(path));
+  auto prototype = std::make_shared<engine::Instance>(load_instance_file(path));
   return [prototype](const ParamPoint& point, Rng&) {
-    Instance inst = *prototype;
+    engine::Instance inst = *prototype;
     if (point.has("demand")) override_demand(inst, point.get("demand"));
     return inst;
   };
@@ -140,10 +140,11 @@ InstanceFactory file_instance_source(std::string path) {
 InstanceFactory generated_instance_source(gen::GeneratorSpec spec,
                                           std::uint64_t seed) {
   // Generate once up front (surfacing bad specs before the sweep starts);
-  // gen::GeneratedInstance and sweep::Instance are the same variant type.
-  auto prototype = std::make_shared<Instance>(gen::generate(spec, seed));
+  // gen::GeneratedInstance and engine::Instance are the same variant type.
+  auto prototype =
+      std::make_shared<engine::Instance>(gen::generate(spec, seed));
   return [prototype](const ParamPoint& point, Rng&) {
-    Instance inst = *prototype;
+    engine::Instance inst = *prototype;
     if (point.has("demand")) override_demand(inst, point.get("demand"));
     return inst;
   };

@@ -41,7 +41,7 @@ ScenarioSpec pigou_grid() {
   for (int d = 1; d <= 12; ++d) monomials->push_back(make_monomial(1.0, d));
   const LatencyPtr constant = make_constant(1.0);
   spec.factory = [monomials, constant](const ParamPoint& p,
-                                       Rng&) -> Instance {
+                                       Rng&) -> engine::Instance {
     const int d = p.get_int("degree");
     ParallelLinks m;
     // Out-of-table degrees (custom re-grids) fall back to fresh objects —
@@ -67,7 +67,7 @@ ScenarioSpec affine_random() {
   spec.grid.add("links", {2, 4, 6, 8})
       .add("demand", {0.5, 1.0, 2.0, 4.0})
       .add_range("replicate", 0, 9);
-  spec.factory = [](const ParamPoint& p, Rng& rng) -> Instance {
+  spec.factory = [](const ParamPoint& p, Rng& rng) -> engine::Instance {
     return random_affine_links(rng, p.get_int("links"), p.get("demand"));
   };
   spec.metrics = {metric_beta(), metric_poa(), metric_nash_cost(),
@@ -93,7 +93,7 @@ ScenarioSpec mm1_two_groups_scenario() {
     protos->push_back(
         mm1_two_groups(fast, fast_mu, servers - fast, slow_mu, 11.0));
   }
-  spec.factory = [protos](const ParamPoint& p, Rng&) -> Instance {
+  spec.factory = [protos](const ParamPoint& p, Rng&) -> engine::Instance {
     const int fast = p.get_int("fast_links");
     SR_REQUIRE(fast >= 1 && fast <= static_cast<int>(protos->size()),
                "mm1-two-groups: fast_links must be in [1, 5]");
@@ -124,7 +124,7 @@ ScenarioSpec thm24_hard() {
   spec.grid.add("links", {3, 5, 8})
       .add("slope", {0.5, 1.0, 2.0})
       .add_range("replicate", 0, 4);
-  spec.factory = [](const ParamPoint& p, Rng& rng) -> Instance {
+  spec.factory = [](const ParamPoint& p, Rng& rng) -> engine::Instance {
     return random_common_slope_links(rng, p.get_int("links"), 2.0,
                                      p.get("slope"));
   };
@@ -152,7 +152,7 @@ ScenarioSpec braess_eps() {
   spec.description =
       "Fig. 7 Braess-topology family: beta_G = 1/2 + 2eps via MOP";
   spec.grid.add_linspace("eps", 0.001, 0.12, 30);
-  spec.factory = [](const ParamPoint& p, Rng&) -> Instance {
+  spec.factory = [](const ParamPoint& p, Rng&) -> engine::Instance {
     return fig7_instance(p.get("eps"));
   };
   spec.metrics = {
@@ -174,7 +174,7 @@ ScenarioSpec layered_dag() {
       .add("width", {3, 4})
       .add("demand", {1.0, 2.0})
       .add_range("replicate", 0, 2);
-  spec.factory = [](const ParamPoint& p, Rng& rng) -> Instance {
+  spec.factory = [](const ParamPoint& p, Rng& rng) -> engine::Instance {
     return random_layered_dag(rng, p.get_int("layers"), p.get_int("width"),
                               0.6, p.get("demand"));
   };
@@ -196,7 +196,7 @@ ScenarioSpec grid_bpr() {
   spec.grid.add("size", {3, 4, 5})
       .add("demand", {0.5, 1.0, 2.0})
       .add_range("replicate", 0, 2);
-  spec.factory = [](const ParamPoint& p, Rng& rng) -> Instance {
+  spec.factory = [](const ParamPoint& p, Rng& rng) -> engine::Instance {
     gen::GridSpec g;
     g.rows = g.cols = p.get_int("size");
     g.demand = p.get("demand");
@@ -216,7 +216,7 @@ ScenarioSpec series_parallel() {
       .add("parallel_prob", {0.3, 0.6})
       .add("demand", {1.0, 2.0})
       .add_range("replicate", 0, 2);
-  spec.factory = [](const ParamPoint& p, Rng& rng) -> Instance {
+  spec.factory = [](const ParamPoint& p, Rng& rng) -> engine::Instance {
     gen::SeriesParallelSpec g;
     g.depth = p.get_int("depth");
     g.parallel_prob = p.get("parallel_prob");
@@ -234,7 +234,7 @@ ScenarioSpec braess_ladder() {
   spec.description =
       "chained Braess diamonds: rungs x demand, beta_G via MOP";
   spec.grid.add("rungs", {1, 2, 4, 8}).add("demand", {0.5, 1.0, 2.0});
-  spec.factory = [](const ParamPoint& p, Rng& rng) -> Instance {
+  spec.factory = [](const ParamPoint& p, Rng& rng) -> engine::Instance {
     gen::BraessLadderSpec g;
     g.rungs = p.get_int("rungs");
     g.demand = p.get("demand");
@@ -271,22 +271,24 @@ ScenarioSpec strategy_compare(std::string name, std::string description,
 ScenarioSpec strategy_compare_parallel() {
   // Fig. 4: the paper's worked five-link system. The prototype is shared
   // by all tasks, so α chains warm-start.
-  auto prototype = std::make_shared<Instance>(fig4_instance());
+  auto prototype = std::make_shared<engine::Instance>(fig4_instance());
   return strategy_compare(
       "strategy-compare-parallel",
       "Fig. 4 parallel links: Aloof/SCALE/LLF ratio vs alpha, beta = 29/120",
-      [prototype](const ParamPoint&, Rng&) -> Instance { return *prototype; },
+      [prototype](const ParamPoint&, Rng&) -> engine::Instance {
+        return *prototype;
+      },
       ParamGrid().add_linspace("alpha", 0.0, 1.0, 21));
 }
 
 ScenarioSpec strategy_compare_grid() {
-  auto prototype = std::make_shared<Instance>(
+  auto prototype = std::make_shared<engine::Instance>(
       gen::generate(gen::sized_spec("grid-bpr", 4), 7));
   return strategy_compare(
       "strategy-compare-grid",
       "BPR street grid: baseline ratio vs alpha on a general network",
-      [prototype](const ParamPoint& p, Rng&) -> Instance {
-        Instance inst = *prototype;
+      [prototype](const ParamPoint& p, Rng&) -> engine::Instance {
+        engine::Instance inst = *prototype;
         override_demand(inst, p.get("demand"));
         return inst;
       },
@@ -298,7 +300,7 @@ ScenarioSpec strategy_compare_braess() {
   // One shared ladder per rung count (see mm1-two-groups for the shared-
   // prototype pattern); the Braess topology is where SCALE/LLF visibly
   // fail to reach C(O) for any alpha < 1 while MOP's beta does.
-  auto protos = std::make_shared<std::vector<Instance>>();
+  auto protos = std::make_shared<std::vector<engine::Instance>>();
   const std::vector<int> rungs = {1, 2, 4};
   std::vector<double> rung_values;
   for (int k : rungs) {
@@ -310,7 +312,7 @@ ScenarioSpec strategy_compare_braess() {
   return strategy_compare(
       "strategy-compare-braess",
       "chained Braess diamonds: baseline ratio vs alpha, rungs x alpha",
-      [protos, rungs](const ParamPoint& p, Rng&) -> Instance {
+      [protos, rungs](const ParamPoint& p, Rng&) -> engine::Instance {
         const int k = p.get_int("rungs");
         for (std::size_t i = 0; i < rungs.size(); ++i) {
           if (rungs[i] == k) return (*protos)[i];
@@ -327,13 +329,13 @@ ScenarioSpec strategy_compare_siouxfalls() {
   // work to do. Resolved relative to the working directory first, then to
   // the source tree the library was configured from.
   auto prototype =
-      std::make_shared<Instance>(load_instance_file(locate_data_file(
+      std::make_shared<engine::Instance>(load_instance_file(locate_data_file(
           "examples/instances/SiouxFalls_net.tntp")));
   return strategy_compare(
       "strategy-compare-siouxfalls",
       "SiouxFalls (TNTP) at demand 10000: baseline ratio vs alpha",
-      [prototype](const ParamPoint&, Rng&) -> Instance {
-        Instance inst = *prototype;
+      [prototype](const ParamPoint&, Rng&) -> engine::Instance {
+        engine::Instance inst = *prototype;
         override_demand(inst, 10000.0);
         return inst;
       },

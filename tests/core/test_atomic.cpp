@@ -23,7 +23,7 @@ TEST(Atomic, TwoPlayersOnIdenticalLinksSplit) {
   game.links = {make_linear(1.0), make_linear(1.0)};
   game.weights = {1.0, 1.0};
   const BestResponseResult r = best_response_dynamics(game);
-  EXPECT_TRUE(r.converged);
+  EXPECT_TRUE(solve_ok(r.status));
   EXPECT_NE(r.choice[0], r.choice[1]);
   EXPECT_NEAR(r.cost, 2.0, 1e-12);  // each link: 1·ℓ(1) = 1
   EXPECT_TRUE(is_pure_nash(game, r.choice));
@@ -34,7 +34,7 @@ TEST(Atomic, SinglePlayerPicksTheCheapestLink) {
   game.links = {make_affine(1.0, 0.5), make_constant(0.4)};
   game.weights = {1.0};
   const BestResponseResult r = best_response_dynamics(game);
-  EXPECT_TRUE(r.converged);
+  EXPECT_TRUE(solve_ok(r.status));
   EXPECT_EQ(r.choice[0], 1);  // ℓ2 = 0.4 < ℓ1(1) = 1.5
 }
 
@@ -45,7 +45,7 @@ TEST(Atomic, UnweightedDynamicsAlwaysConverge) {
     const ParallelLinks m = random_polynomial_links(rng, 4, 1.0);
     const AtomicInstance game = atomize(m, 12);
     const BestResponseResult r = best_response_dynamics(game);
-    EXPECT_TRUE(r.converged) << "trial " << trial;
+    EXPECT_TRUE(solve_ok(r.status)) << "trial " << trial;
     EXPECT_TRUE(is_pure_nash(game, r.choice)) << "trial " << trial;
   }
 }
@@ -64,7 +64,7 @@ TEST(Atomic, WeightedAffineDynamicsConverge) {
       game.weights.push_back(rng.uniform(0.1, 1.0));
     }
     const BestResponseResult r = best_response_dynamics(game);
-    EXPECT_TRUE(r.converged) << "trial " << trial;
+    EXPECT_TRUE(solve_ok(r.status)) << "trial " << trial;
     EXPECT_TRUE(is_pure_nash(game, r.choice)) << "trial " << trial;
   }
 }
@@ -86,7 +86,7 @@ TEST(Atomic, RefinementApproachesTheContinuousNash) {
   for (int players : {4, 16, 64, 256}) {
     const AtomicInstance game = atomize(m, players);
     const BestResponseResult r = best_response_dynamics(game);
-    ASSERT_TRUE(r.converged);
+    ASSERT_TRUE(solve_ok(r.status));
     const double gap = std::fabs(r.cost - continuous_nash);
     EXPECT_LE(gap, prev_gap + 1e-9) << players << " players";
     prev_gap = gap;
@@ -111,7 +111,7 @@ TEST(Atomic, StackelbergImprovesPigou) {
   const BestResponseResult aloof = best_response_dynamics(game);
   std::vector<std::size_t> leaders = {0, 1, 2, 3};
   const AtomicStackelbergResult stack = atomic_stackelberg(game, leaders);
-  EXPECT_TRUE(stack.converged);
+  EXPECT_TRUE(solve_ok(stack.status));
   EXPECT_LT(stack.cost, aloof.cost - 1e-9);
   EXPECT_NEAR(stack.cost, 0.75, 1e-9);  // the continuous optimum exactly
 }
@@ -137,8 +137,8 @@ TEST(Atomic, StackelbergWorseThanAloofOnlyByGranularity) {
     const BestResponseResult aloof = best_response_dynamics(game);
     const AtomicStackelbergResult stack =
         atomic_stackelberg_share(game, 0.5);
-    ASSERT_TRUE(aloof.converged);
-    ASSERT_TRUE(stack.converged);
+    ASSERT_TRUE(solve_ok(aloof.status));
+    ASSERT_TRUE(solve_ok(stack.status));
     EXPECT_LE(stack.cost, aloof.cost * 1.05) << "trial " << trial;
   }
 }
@@ -156,7 +156,7 @@ TEST(Atomic, StackelbergBeatsAloofUnderRefinement) {
     const BestResponseResult aloof = best_response_dynamics(game);
     const AtomicStackelbergResult stack =
         atomic_stackelberg_share(game, beta);
-    ASSERT_TRUE(stack.converged);
+    ASSERT_TRUE(solve_ok(stack.status));
     EXPECT_LE(stack.cost, aloof.cost * 1.005) << "trial " << trial;
     EXPECT_NEAR(stack.cost, stack.continuous_optimum,
                 0.02 * stack.continuous_optimum)

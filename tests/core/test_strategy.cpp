@@ -198,7 +198,8 @@ TEST(NetworkStrategy, AloofInducesPlainNash) {
 
 TEST(NetworkStrategy, ScaleUsesExactlyAlphaOfTheOptimum) {
   const NetworkInstance net = braess_classic();
-  const NetworkAssignment opt = solve_optimum(net);
+  const EquilibriumResult opt =
+      solve_equilibrium(net, FlowObjective::kTotalCost);
   const NetworkStrategy s = scale_strategy(net, 0.4, opt);
   ASSERT_EQ(s.preload.size(), opt.edge_flow.size());
   for (std::size_t e = 0; e < s.preload.size(); ++e) {
@@ -213,7 +214,8 @@ TEST(NetworkStrategy, LlfBudgetInvariantOnNetworks) {
   // preload whose source divergence equals the controlled demand.
   Rng rng(41);
   const NetworkInstance net = grid_city(rng, 3, 3, 2.0);
-  const NetworkAssignment opt = solve_optimum(net);
+  const EquilibriumResult opt =
+      solve_equilibrium(net, FlowObjective::kTotalCost);
   for (double alpha : {0.25, 0.5, 0.999, 1.0}) {
     const NetworkStrategy s = llf_strategy(net, alpha, opt);
     ASSERT_EQ(s.controlled.size(), 1u);
@@ -239,7 +241,8 @@ TEST(NetworkStrategy, FullControlReproducesTheOptimum) {
   // route nothing, C(S+T) = C(O).
   Rng rng(42);
   const NetworkInstance net = grid_city(rng, 3, 3, 1.5);
-  const NetworkAssignment opt = solve_optimum(net);
+  const EquilibriumResult opt =
+      solve_equilibrium(net, FlowObjective::kTotalCost);
   for (const bool use_llf : {false, true}) {
     const NetworkStrategy s = use_llf ? llf_strategy(net, 1.0, opt)
                                       : scale_strategy(net, 1.0, opt);
@@ -252,13 +255,15 @@ TEST(NetworkStrategy, FullControlReproducesTheOptimum) {
 TEST(NetworkStrategy, PrecomputedOptimumOverloadAgrees) {
   Rng rng(43);
   const NetworkInstance net = random_layered_dag(rng, 2, 3, 0.6, 1.0);
-  const NetworkAssignment opt = solve_optimum(net);
+  const EquilibriumResult opt =
+      solve_equilibrium(net, FlowObjective::kTotalCost);
+  const double opt_cost = cost(net, opt.edge_flow);
   SolverWorkspace ws;
   for (double alpha : {0.3, 0.7}) {
     const NetworkStrategy s = scale_strategy(net, alpha, opt);
     const NetworkStackelbergOutcome convenient = evaluate_strategy(net, s);
     const NetworkStackelbergOutcome precomputed =
-        evaluate_strategy(net, s, opt.cost, {}, ws, nullptr, nullptr);
+        evaluate_strategy(net, s, opt_cost, {}, ws, nullptr);
     EXPECT_NEAR(convenient.cost, precomputed.cost,
                 1e-9 * std::fmax(1.0, convenient.cost));
     EXPECT_NEAR(convenient.ratio, precomputed.ratio, 1e-9);
@@ -271,14 +276,16 @@ TEST(NetworkStrategy, WarmStartedChainAgreesWithCold) {
   // solver tolerance.
   Rng rng(44);
   const NetworkInstance net = grid_city(rng, 3, 3, 2.0);
-  const NetworkAssignment opt = solve_optimum(net);
+  const EquilibriumResult opt =
+      solve_equilibrium(net, FlowObjective::kTotalCost);
+  const double opt_cost = cost(net, opt.edge_flow);
   SolverWorkspace ws;
-  AssignmentWarmStart warm;
+  EquilibriumWarmState warm;
   for (int k = 1; k <= 9; ++k) {
     const double alpha = 0.1 * k;
     const NetworkStrategy s = llf_strategy(net, alpha, opt);
     const NetworkStackelbergOutcome chained =
-        evaluate_strategy(net, s, opt.cost, {}, ws, &warm, &warm);
+        evaluate_strategy(net, s, opt_cost, {}, ws, &warm);
     const NetworkStackelbergOutcome cold = evaluate_strategy(net, s);
     EXPECT_NEAR(chained.cost, cold.cost, 1e-6 * std::fmax(1.0, cold.cost))
         << alpha;
@@ -321,14 +328,16 @@ TEST(NetworkStrategy, ScaleAndLlfNeverBeatMop) {
   const NetworkInstance net = fig7_instance(0.05);
   const MopResult mr = mop(net);
   EXPECT_NEAR(mr.induced_cost, mr.optimum_cost, 1e-7 * mr.optimum_cost);
-  const NetworkAssignment opt = solve_optimum(net);
+  const EquilibriumResult opt =
+      solve_equilibrium(net, FlowObjective::kTotalCost);
+  const double opt_cost = cost(net, opt.edge_flow);
   SolverWorkspace ws;
   for (double alpha : {0.1, 0.3, 0.5, 0.7, 0.9}) {
     for (const bool use_llf : {false, true}) {
       const NetworkStrategy s = use_llf ? llf_strategy(net, alpha, opt)
                                         : scale_strategy(net, alpha, opt);
       const NetworkStackelbergOutcome out =
-          evaluate_strategy(net, s, opt.cost, {}, ws, nullptr, nullptr);
+          evaluate_strategy(net, s, opt_cost, {}, ws, nullptr);
       EXPECT_GE(out.cost, mr.induced_cost * (1.0 - 1e-7))
           << "alpha " << alpha << " llf " << use_llf;
     }
@@ -342,14 +351,16 @@ TEST(NetworkStrategy, ScaleAtModerateAlphaCanBeWorseThanAloof) {
   // SCALE at α = 0.65 ~0.6% above the plain Nash.)
   Rng rng(6);
   const NetworkInstance net = grid_city(rng, 3, 3, 2.0);
-  const NetworkAssignment nash = solve_nash(net);
-  const NetworkAssignment opt = solve_optimum(net);
-  ASSERT_GT(nash.cost, opt.cost * 1.001);  // the anomaly needs PoA > 1
+  const double nash_cost = cost(net, solve_equilibrium(net).edge_flow);
+  const EquilibriumResult opt =
+      solve_equilibrium(net, FlowObjective::kTotalCost);
+  const double opt_cost = cost(net, opt.edge_flow);
+  ASSERT_GT(nash_cost, opt_cost * 1.001);  // the anomaly needs PoA > 1
   SolverWorkspace ws;
   const NetworkStrategy s = scale_strategy(net, 0.65, opt);
   const NetworkStackelbergOutcome out =
-      evaluate_strategy(net, s, opt.cost, {}, ws, nullptr, nullptr);
-  EXPECT_GT(out.cost, nash.cost * 1.001);
+      evaluate_strategy(net, s, opt_cost, {}, ws, nullptr);
+  EXPECT_GT(out.cost, nash_cost * 1.001);
 }
 
 TEST(NetworkStrategy, NoTestedAlphaBelowOneMatchesMopOnThisInstance) {
@@ -361,7 +372,9 @@ TEST(NetworkStrategy, NoTestedAlphaBelowOneMatchesMopOnThisInstance) {
   const MopResult mr = mop(net);
   EXPECT_LT(mr.beta, 0.95);
   EXPECT_NEAR(mr.induced_cost, mr.optimum_cost, 1e-6 * mr.optimum_cost);
-  const NetworkAssignment opt = solve_optimum(net);
+  const EquilibriumResult opt =
+      solve_equilibrium(net, FlowObjective::kTotalCost);
+  const double opt_cost = cost(net, opt.edge_flow);
   SolverWorkspace ws;
   for (int k = 1; k <= 18; ++k) {
     const double alpha = 0.05 * k;  // 0.05 .. 0.90
@@ -369,7 +382,7 @@ TEST(NetworkStrategy, NoTestedAlphaBelowOneMatchesMopOnThisInstance) {
       const NetworkStrategy s = use_llf ? llf_strategy(net, alpha, opt)
                                         : scale_strategy(net, alpha, opt);
       const NetworkStackelbergOutcome out =
-          evaluate_strategy(net, s, opt.cost, {}, ws, nullptr, nullptr);
+          evaluate_strategy(net, s, opt_cost, {}, ws, nullptr);
       EXPECT_GT(out.ratio, 1.0 + 1e-3)
           << "alpha " << alpha << " llf " << use_llf;
     }
@@ -383,7 +396,8 @@ TEST(NetworkStrategy, ParallelLinksViewedAsNetworkMatchesLinkLlf) {
   Rng rng(45);
   const ParallelLinks m = random_affine_links(rng, 5, 2.0);
   const NetworkInstance net = to_network(m);
-  const NetworkAssignment net_opt = solve_optimum(net);
+  const EquilibriumResult net_opt =
+      solve_equilibrium(net, FlowObjective::kTotalCost);
   for (double alpha : {0.3, 0.7, 1.0}) {
     const std::vector<double> s_links =
         llf_strategy(m, alpha, net_opt.edge_flow);

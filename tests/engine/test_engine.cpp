@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "stackroute/engine/engine.h"
 #include "stackroute/gen/registry.h"
 #include "stackroute/latency/families.h"
+#include "stackroute/serve/protocol.h"
 #include "stackroute/util/parallel.h"
 
 namespace stackroute::engine {
@@ -129,6 +131,32 @@ TEST(EngineTest, WarmAndColdAgreeToTolerance) {
   EXPECT_FALSE(cold.warm);
   EXPECT_NEAR(warm.cost, cold.cost,
               1e-6 * std::fmax(1.0, std::fabs(cold.cost)));
+}
+
+// MOP's solves always run on path equalization, so a session's kMop chain
+// answers with the same bytes whichever backend its requests name (see
+// SolveRequest::backend; the anaheim-beta benchmark sends "bush").
+TEST(EngineTest, MopChainAnswersIdenticallyForAnyNamedBackend) {
+  const auto run_chain = [](EquilibriumBackend backend) {
+    Engine eng;
+    const std::uint64_t s = eng.open_session();
+    std::vector<std::string> lines;
+    for (double demand : {0.8, 1.0, 1.2, 1.5, 1.9}) {
+      SolveRequest req = request(RequestKind::kMop, grid_instance(demand), s);
+      req.backend = backend;
+      SolveResponse resp = eng.solve(req);
+      EXPECT_TRUE(resp.ok) << resp.error;
+      resp.millis = 0.0;  // the only non-deterministic field
+      lines.push_back(serve::response_json(resp));
+    }
+    return lines;
+  };
+  const std::vector<std::string> pe =
+      run_chain(EquilibriumBackend::kPathEqualization);
+  ASSERT_EQ(pe.size(), 5u);
+  EXPECT_NE(pe[1].find("\"warm\":true"), std::string::npos) << pe[1];
+  EXPECT_EQ(run_chain(EquilibriumBackend::kBush), pe);
+  EXPECT_EQ(run_chain(EquilibriumBackend::kFrankWolfe), pe);
 }
 
 TEST(EngineTest, TableCacheServesValueEqualInstances) {

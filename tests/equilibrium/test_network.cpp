@@ -1,6 +1,6 @@
-// Network equilibrium wrappers: costs, Wardrop path checker, induced
-// equilibria, PoA on the paper's graphs, and agreement with the
-// parallel-links solver on two-node networks.
+// Network equilibria through solve_equilibrium: costs, Wardrop path
+// checker, induced equilibria, PoA on the paper's graphs, and agreement
+// with the parallel-links solver on two-node networks.
 #include "stackroute/equilibrium/network.h"
 
 #include <gtest/gtest.h>
@@ -15,10 +15,11 @@ namespace {
 
 TEST(NetworkEquilibrium, BraessClassicCosts) {
   const NetworkInstance inst = braess_classic();
-  const NetworkAssignment n = solve_nash(inst);
-  const NetworkAssignment o = solve_optimum(inst);
-  EXPECT_NEAR(n.cost, 2.0, 1e-7);
-  EXPECT_NEAR(o.cost, 1.5, 1e-7);
+  const EquilibriumResult n = solve_equilibrium(inst);
+  const EquilibriumResult o =
+      solve_equilibrium(inst, FlowObjective::kTotalCost);
+  EXPECT_NEAR(cost(inst, n.edge_flow), 2.0, 1e-7);
+  EXPECT_NEAR(cost(inst, o.edge_flow), 1.5, 1e-7);
   EXPECT_NEAR(price_of_anarchy(inst), 4.0 / 3.0, 1e-6);
 }
 
@@ -26,21 +27,23 @@ TEST(NetworkEquilibrium, Fig7CostsMatchExpected) {
   const double eps = 0.05;
   const NetworkInstance inst = fig7_instance(eps);
   const Fig7Expected expected = fig7_expected(eps);
-  const NetworkAssignment n = solve_nash(inst);
-  const NetworkAssignment o = solve_optimum(inst);
-  EXPECT_NEAR(n.cost, expected.nash_cost, 1e-6);
-  EXPECT_NEAR(o.cost, expected.optimum_cost, 1e-6);
+  const EquilibriumResult n = solve_equilibrium(inst);
+  const EquilibriumResult o =
+      solve_equilibrium(inst, FlowObjective::kTotalCost);
+  EXPECT_NEAR(cost(inst, n.edge_flow), expected.nash_cost, 1e-6);
+  EXPECT_NEAR(cost(inst, o.edge_flow), expected.optimum_cost, 1e-6);
 }
 
 TEST(NetworkEquilibrium, NashFlowsPassWardropChecker) {
   Rng rng(81);
   const NetworkInstance inst = grid_city(rng, 3, 3, 1.5);
-  const NetworkAssignment n = solve_nash(inst);
+  const EquilibriumResult n = solve_equilibrium(inst);
   const std::vector<double> zero(
       static_cast<std::size_t>(inst.graph.num_edges()), 0.0);
   EXPECT_TRUE(satisfies_wardrop(inst, n.commodity_paths, zero));
   // The optimum generally is not a Wardrop equilibrium.
-  const NetworkAssignment o = solve_optimum(inst);
+  const EquilibriumResult o =
+      solve_equilibrium(inst, FlowObjective::kTotalCost);
   (void)o;  // just ensure it solves; grids can have N == O coincidences
 }
 
@@ -59,11 +62,12 @@ TEST(NetworkEquilibrium, AgreesWithParallelLinksOnTwoNodeNets) {
     const ParallelLinks m = random_affine_links(rng, 5, 2.0);
     const NetworkInstance inst = to_network(m);
     const LinkAssignment direct = solve_nash(m);
-    const NetworkAssignment via_net = solve_nash(inst);
+    const EquilibriumResult via_net = solve_equilibrium(inst);
     EXPECT_NEAR(max_abs_diff(direct.flows, via_net.edge_flow), 0.0, 1e-6)
         << "trial " << trial;
     const LinkAssignment direct_opt = solve_optimum(m);
-    const NetworkAssignment net_opt = solve_optimum(inst);
+    const EquilibriumResult net_opt =
+        solve_equilibrium(inst, FlowObjective::kTotalCost);
     EXPECT_NEAR(max_abs_diff(direct_opt.flows, net_opt.edge_flow), 0.0, 1e-6)
         << "trial " << trial;
   }
@@ -74,15 +78,16 @@ TEST(NetworkEquilibrium, InducedCostIncludesPreload) {
   NetworkInstance inst = to_network(pigou());
   inst.commodities[0].demand = 0.5;
   const std::vector<double> preload = {0.0, 0.5};
-  const NetworkAssignment induced = solve_induced(inst, preload);
-  EXPECT_NEAR(induced.cost, 0.75, 1e-7);
+  const EquilibriumResult induced =
+      solve_equilibrium(inst, FlowObjective::kBeckmann, preload);
+  EXPECT_NEAR(cost(inst, add(preload, induced.edge_flow)), 0.75, 1e-7);
   EXPECT_NEAR(induced.edge_flow[0], 0.5, 1e-7);
 }
 
 TEST(NetworkEquilibrium, MulticommodityNashBalancesEachCommodity) {
   Rng rng(83);
   const NetworkInstance inst = grid_city_multicommodity(rng, 4, 4, 3, 0.3, 0.7);
-  const NetworkAssignment n = solve_nash(inst);
+  const EquilibriumResult n = solve_equilibrium(inst);
   const std::vector<double> zero(
       static_cast<std::size_t>(inst.graph.num_edges()), 0.0);
   EXPECT_TRUE(satisfies_wardrop(inst, n.commodity_paths, zero));

@@ -90,8 +90,10 @@ TEST(Gen, BraessLadderSingleRungIsTheClassicParadox) {
   EXPECT_EQ(inst.graph.num_nodes(), 4);
   EXPECT_EQ(inst.graph.num_edges(), 5);
   // Classic Braess at r = 1: all Nash flow on s->v->w->t at cost 2.
-  EXPECT_NEAR(solve_nash(inst).cost, 2.0, 1e-9);
-  EXPECT_NEAR(solve_optimum(inst).cost, 1.5, 1e-9);
+  EXPECT_NEAR(cost(inst, solve_equilibrium(inst).edge_flow), 2.0, 1e-9);
+  EXPECT_NEAR(
+      cost(inst, solve_equilibrium(inst, FlowObjective::kTotalCost).edge_flow),
+      1.5, 1e-9);
 }
 
 TEST(Gen, BraessLadderWithoutJitterIgnoresSeed) {

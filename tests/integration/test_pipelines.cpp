@@ -86,25 +86,30 @@ TEST(Pipeline, MopStrategyVerifiedByIndependentSolver) {
   const MopResult r = mop(inst);
   NetworkInstance followers = inst;
   followers.commodities[0].demand = r.free_flow_total;
-  const NetworkAssignment induced =
-      solve_induced(followers, r.leader_edge_flow);
+  const EquilibriumResult induced =
+      solve_equilibrium(followers, FlowObjective::kBeckmann,
+                        r.leader_edge_flow);
   EXPECT_TRUE(satisfies_wardrop(followers, induced.commodity_paths,
                                 r.leader_edge_flow, 1e-5));
-  EXPECT_NEAR(induced.cost, r.optimum_cost, 1e-5);
+  EXPECT_NEAR(cost(inst, add(r.leader_edge_flow, induced.edge_flow)),
+              r.optimum_cost, 1e-5);
 }
 
 TEST(Pipeline, GridCityFullStory) {
   Rng rng(172);
   const NetworkInstance inst = grid_city(rng, 4, 4, 2.5);
-  const NetworkAssignment nash = solve_nash(inst);
-  const NetworkAssignment opt = solve_optimum(inst);
-  ASSERT_GT(opt.cost, 0.0);
-  const double poa = nash.cost / opt.cost;
+  const double nash_cost = cost(inst, solve_equilibrium(inst).edge_flow);
+  const double opt_cost = cost(
+      inst,
+      solve_equilibrium(inst, FlowObjective::kTotalCost)
+          .edge_flow);
+  ASSERT_GT(opt_cost, 0.0);
+  const double poa = nash_cost / opt_cost;
   EXPECT_GE(poa, 1.0 - 1e-9);
   const MopResult r = mop(inst);
   EXPECT_GE(r.beta, -1e-9);
   EXPECT_LE(r.beta, 1.0 + 1e-9);
-  EXPECT_NEAR(r.induced_cost, opt.cost, 1e-4 * std::fmax(1.0, opt.cost));
+  EXPECT_NEAR(r.induced_cost, opt_cost, 1e-4 * std::fmax(1.0, opt_cost));
   // The Leader pays β of the demand to erase a PoA of `poa`.
   if (poa < 1.0 + 1e-9) {
     EXPECT_LT(r.beta, 1e-6);  // nothing to fix -> nothing to control

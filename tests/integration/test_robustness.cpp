@@ -52,7 +52,7 @@ TEST(Robustness, OverDemandStrategyRejected) {
 TEST(Robustness, MopRejectsPreloadSizeMismatch) {
   const NetworkInstance inst = fig7_instance(0.05);
   const std::vector<double> bad(3, 0.1);
-  EXPECT_THROW(solve_induced(inst, bad), Error);
+  EXPECT_THROW(solve_equilibrium(inst, FlowObjective::kBeckmann, bad), Error);
 }
 
 TEST(Robustness, EmptyNetworkRejected) {
@@ -163,8 +163,8 @@ TEST(Robustness, ParallelEdgesInNetworks) {
   inst.graph.add_edge(0, 1, make_bpr(0.5, 1.0));
   inst.graph.add_edge(0, 1, make_mm1(3.0));
   inst.commodities.push_back(Commodity{0, 1, 1.2});
-  const NetworkAssignment n = solve_nash(inst);
-  EXPECT_TRUE(n.converged);
+  const EquilibriumResult n = solve_equilibrium(inst);
+  EXPECT_TRUE(solve_ok(n.status));
   EXPECT_NEAR(sum(n.edge_flow), 1.2, 1e-8);
   const MopResult r = mop(inst);
   EXPECT_LT(r.induced_residual, 1e-5);

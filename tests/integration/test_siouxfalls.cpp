@@ -32,9 +32,9 @@ TEST(SiouxFalls, FrankWolfeSolvesNashAndOptimum) {
   const NetworkInstance inst = sioux_falls(10000.0);
   const FrankWolfeResult nash =
       frank_wolfe(inst, FlowObjective::kBeckmann);
-  EXPECT_TRUE(nash.converged);
+  EXPECT_TRUE(solve_ok(nash.status));
   const FrankWolfeResult opt = frank_wolfe(inst, FlowObjective::kTotalCost);
-  EXPECT_TRUE(opt.converged);
+  EXPECT_TRUE(solve_ok(opt.status));
 
   // Flow conservation at the source: everything leaves node 0.
   double out = 0.0, in = 0.0;
@@ -45,12 +45,14 @@ TEST(SiouxFalls, FrankWolfeSolvesNashAndOptimum) {
   EXPECT_NEAR(out - in, 10000.0, 1e-3);
 
   // FW's optimum agrees with the path-equilibration solver.
-  const NetworkAssignment eq = solve_optimum(inst);
+  const EquilibriumResult eq =
+      solve_equilibrium(inst, FlowObjective::kTotalCost);
+  const double eq_cost = cost(inst, eq.edge_flow);
   const double fw_cost = cost(inst, opt.edge_flow);
-  EXPECT_TRUE(eq.converged);
-  EXPECT_NEAR(fw_cost, eq.cost, 1e-3 * eq.cost);
+  EXPECT_TRUE(solve_ok(eq.status));
+  EXPECT_NEAR(fw_cost, eq_cost, 1e-3 * eq_cost);
   // And the Nash cost dominates the optimum cost.
-  EXPECT_GE(cost(inst, nash.edge_flow), eq.cost * (1.0 - 1e-9));
+  EXPECT_GE(cost(inst, nash.edge_flow), eq_cost * (1.0 - 1e-9));
 }
 
 TEST(SiouxFalls, MopInducesTheOptimum) {
@@ -70,7 +72,7 @@ TEST(SiouxFalls, MopInducesTheOptimum) {
 TEST(SiouxFalls, SweepFileSourceLoadsTntp) {
   // The sweep layer's file source auto-detects .tntp and attaches a unit
   // commodity, rescaled by the demand axis.
-  sweep::Instance inst = sweep::load_instance_file(kSiouxFallsPath);
+  engine::Instance inst = sweep::load_instance_file(kSiouxFallsPath);
   auto& net = std::get<NetworkInstance>(inst);
   ASSERT_EQ(net.commodities.size(), 1u);
   sweep::override_demand(inst, 500.0);

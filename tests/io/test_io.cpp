@@ -128,8 +128,8 @@ TEST(Serialize, NetworkFileRoundTrip) {
   ASSERT_TRUE(in.good());
   const NetworkInstance back = read_network(in);
   EXPECT_EQ(back.graph.num_edges(), inst.graph.num_edges());
-  const NetworkAssignment a = solve_nash(inst);
-  const NetworkAssignment b = solve_nash(back);
+  const EquilibriumResult a = solve_equilibrium(inst);
+  const EquilibriumResult b = solve_equilibrium(back);
   EXPECT_NEAR(max_abs_diff(a.edge_flow, b.edge_flow), 0.0, 1e-9);
 }
 
@@ -156,8 +156,10 @@ TEST(Serialize, NetworkRoundTrip) {
   EXPECT_EQ(back.graph.num_edges(), inst.graph.num_edges());
   ASSERT_EQ(back.commodities.size(), 1u);
   EXPECT_DOUBLE_EQ(back.commodities[0].demand, 1.0);
-  const NetworkAssignment a = solve_optimum(inst);
-  const NetworkAssignment b = solve_optimum(back);
+  const EquilibriumResult a =
+      solve_equilibrium(inst, FlowObjective::kTotalCost);
+  const EquilibriumResult b =
+      solve_equilibrium(back, FlowObjective::kTotalCost);
   EXPECT_NEAR(max_abs_diff(a.edge_flow, b.edge_flow), 0.0, 1e-9);
 }
 

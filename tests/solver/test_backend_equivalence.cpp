@@ -45,13 +45,13 @@ TEST(BackendRegistry, NamesRoundTrip) {
 TEST(Bush, PigouNashAndOptimum) {
   const NetworkInstance inst = to_network(pigou());
   const BushResult nash = solve_bush(inst, FlowObjective::kBeckmann);
-  EXPECT_TRUE(nash.converged);
+  EXPECT_TRUE(solve_ok(nash.status));
   EXPECT_EQ(nash.status, SolveStatus::kConverged);
   EXPECT_NEAR(nash.edge_flow[0], 1.0, 1e-8);
   EXPECT_NEAR(nash.edge_flow[1], 0.0, 1e-8);
 
   const BushResult opt = solve_bush(inst, FlowObjective::kTotalCost);
-  EXPECT_TRUE(opt.converged);
+  EXPECT_TRUE(solve_ok(opt.status));
   EXPECT_NEAR(opt.edge_flow[0], 0.5, 1e-6);
   EXPECT_NEAR(opt.edge_flow[1], 0.5, 1e-6);
 }
@@ -59,7 +59,7 @@ TEST(Bush, PigouNashAndOptimum) {
 TEST(Bush, BraessNashMatchesClosedForm) {
   const NetworkInstance inst = braess_classic();
   const BushResult r = solve_bush(inst, FlowObjective::kBeckmann);
-  ASSERT_TRUE(r.converged);
+  ASSERT_TRUE(solve_ok(r.status));
   // All flow takes s→v→w→t at Nash; C(N) = 2.
   EXPECT_NEAR(cost(inst, r.edge_flow), 2.0, 1e-7);
 }
@@ -70,7 +70,7 @@ TEST(Bush, ReachesTightGapOnMulticommodityGrid) {
   BushOptions opts;
   opts.rel_gap_tol = 1e-10;
   const BushResult r = solve_bush(inst, FlowObjective::kBeckmann, {}, opts);
-  EXPECT_TRUE(r.converged) << "gap " << r.rel_gap << " status "
+  EXPECT_TRUE(solve_ok(r.status)) << "gap " << r.rel_gap << " status "
                            << to_string(r.status);
   EXPECT_LE(r.rel_gap, 1e-10);
 }
@@ -101,19 +101,19 @@ TEST(BackendEquivalence, NashCostAgreesAcrossFamiliesAndSeeds) {
       req.backend = EquilibriumBackend::kPathEqualization;
       const EquilibriumResult pe =
           solve_equilibrium(inst, {}, req, ws, nullptr, nullptr);
-      ASSERT_TRUE(pe.converged) << fam.name << " seed " << seed;
+      ASSERT_TRUE(solve_ok(pe.status)) << fam.name << " seed " << seed;
       EXPECT_FALSE(pe.commodity_paths.empty());
 
       req.backend = EquilibriumBackend::kFrankWolfe;
       req.frank_wolfe.rel_gap_tol = 1e-5;
       const EquilibriumResult fw =
           solve_equilibrium(inst, {}, req, ws, nullptr, nullptr);
-      ASSERT_TRUE(fw.converged) << fam.name << " seed " << seed;
+      ASSERT_TRUE(solve_ok(fw.status)) << fam.name << " seed " << seed;
 
       req.backend = EquilibriumBackend::kBush;
       const EquilibriumResult bush =
           solve_equilibrium(inst, {}, req, ws, nullptr, nullptr);
-      ASSERT_TRUE(bush.converged)
+      ASSERT_TRUE(solve_ok(bush.status))
           << fam.name << " seed " << seed << " gap " << bush.rel_gap;
 
       const double c_pe = cost(inst, pe.edge_flow);
@@ -133,9 +133,9 @@ TEST(BackendEquivalence, OptimumCostAgreesOnGrid) {
   Rng rng(5);
   const NetworkInstance inst = grid_city(rng, 4, 4, 2.5);
   const auto pe = assign_traffic(inst, FlowObjective::kTotalCost);
-  ASSERT_TRUE(pe.converged);
+  ASSERT_TRUE(solve_ok(pe.status));
   const BushResult bush = solve_bush(inst, FlowObjective::kTotalCost);
-  ASSERT_TRUE(bush.converged);
+  ASSERT_TRUE(solve_ok(bush.status));
   EXPECT_LE(rel_diff(cost(inst, pe.edge_flow), cost(inst, bush.edge_flow)),
             1e-6);
 }
@@ -152,7 +152,7 @@ TEST(Bush, WarmMatchesColdAcrossDemandScale) {
 
   const BushResult first = solve_bush(base, FlowObjective::kBeckmann, {}, {},
                                       ws, bw, nullptr, &warm);
-  ASSERT_TRUE(first.converged);
+  ASSERT_TRUE(solve_ok(first.status));
   ASSERT_FALSE(warm.empty());
 
   NetworkInstance scaled = base;
@@ -161,14 +161,14 @@ TEST(Bush, WarmMatchesColdAcrossDemandScale) {
   const std::uint64_t hits_before = sink.warm_hits;
   const BushResult warm_run = solve_bush(scaled, FlowObjective::kBeckmann, {},
                                          {}, ws, bw, &warm, &warm);
-  ASSERT_TRUE(warm_run.converged);
+  ASSERT_TRUE(solve_ok(warm_run.status));
   EXPECT_EQ(sink.warm_hits, hits_before + 1) << "warm payload not accepted";
 
   SolverWorkspace ws_cold;
   BushWorkspace bw_cold;
   const BushResult cold_run = solve_bush(scaled, FlowObjective::kBeckmann, {},
                                          {}, ws_cold, bw_cold, nullptr, nullptr);
-  ASSERT_TRUE(cold_run.converged);
+  ASSERT_TRUE(solve_ok(cold_run.status));
   EXPECT_LE(rel_diff(cost(scaled, warm_run.edge_flow),
                      cost(scaled, cold_run.edge_flow)),
             1e-8);
@@ -184,15 +184,15 @@ TEST(Bush, MismatchedWarmPayloadFallsBackCold) {
   SolverWorkspace ws;
   BushWorkspace bw;
   BushWarmState warm;
-  ASSERT_TRUE(
+  ASSERT_TRUE(solve_ok(
       solve_bush(a, FlowObjective::kBeckmann, {}, {}, ws, bw, nullptr, &warm)
-          .converged);
+          .status));
 
   obs::SolveCounters sink;
   obs::CountersScope scope(sink);
   const BushResult r = solve_bush(b, FlowObjective::kBeckmann, {}, {}, ws, bw,
                                   &warm, nullptr);
-  EXPECT_TRUE(r.converged);
+  EXPECT_TRUE(solve_ok(r.status));
   EXPECT_EQ(sink.warm_attempts, 1u);
   EXPECT_EQ(sink.warm_hits, 0u);
 }
@@ -208,7 +208,7 @@ TEST(Bush, EdgeFlowBitwiseInvariantAcrossThreadCounts) {
   const BushResult parallel = solve_bush(inst, FlowObjective::kBeckmann);
   set_max_threads(saved);
 
-  ASSERT_TRUE(serial.converged);
+  ASSERT_TRUE(solve_ok(serial.status));
   ASSERT_EQ(serial.edge_flow.size(), parallel.edge_flow.size());
   for (std::size_t e = 0; e < serial.edge_flow.size(); ++e) {
     EXPECT_EQ(serial.edge_flow[e], parallel.edge_flow[e]) << "edge " << e;
@@ -224,7 +224,7 @@ TEST(Bush, HonestIterLimitStatus) {
   opts.max_iters = 1;
   opts.rel_gap_tol = 0.0;
   const BushResult r = solve_bush(inst, FlowObjective::kBeckmann, {}, opts);
-  EXPECT_FALSE(r.converged);
+  EXPECT_FALSE(solve_ok(r.status));
   EXPECT_EQ(r.status, SolveStatus::kIterLimit);
   EXPECT_GT(r.rel_gap, 0.0);
   EXPECT_TRUE(std::isfinite(r.rel_gap));
@@ -237,7 +237,7 @@ TEST(Bush, BudgetDeadlineReportsDeadlineExceeded) {
   opts.rel_gap_tol = 0.0;  // never converges; only the budget can stop it
   opts.budget.deadline_ms = 1e-3;
   const BushResult r = solve_bush(inst, FlowObjective::kBeckmann, {}, opts);
-  EXPECT_FALSE(r.converged);
+  EXPECT_FALSE(solve_ok(r.status));
   EXPECT_EQ(r.status, SolveStatus::kDeadlineExceeded);
 }
 
@@ -248,7 +248,7 @@ TEST(Bush, CountersReportShiftsAndRebuilds) {
   {
     obs::CountersScope scope(sink);
     const BushResult r = solve_bush(inst, FlowObjective::kBeckmann);
-    ASSERT_TRUE(r.converged);
+    ASSERT_TRUE(solve_ok(r.status));
     EXPECT_GT(r.counters.bush_shifts, 0u);
     EXPECT_GT(r.counters.dijkstra_calls, 0u);
   }
@@ -264,18 +264,21 @@ TEST(BackendWarmState, SwitchingBackendsDropsPayloads) {
 
   EquilibriumRequest req;
   req.backend = EquilibriumBackend::kFrankWolfe;
-  ASSERT_TRUE(solve_equilibrium(inst, {}, req, ws, &warm, &warm).converged);
+  ASSERT_TRUE(
+      solve_ok(solve_equilibrium(inst, {}, req, ws, &warm, &warm).status));
   EXPECT_EQ(warm.backend, EquilibriumBackend::kFrankWolfe);
   EXPECT_FALSE(warm.fw_flow.empty());
 
   req.backend = EquilibriumBackend::kBush;
-  ASSERT_TRUE(solve_equilibrium(inst, {}, req, ws, &warm, &warm).converged);
+  ASSERT_TRUE(
+      solve_ok(solve_equilibrium(inst, {}, req, ws, &warm, &warm).status));
   EXPECT_EQ(warm.backend, EquilibriumBackend::kBush);
   EXPECT_TRUE(warm.fw_flow.empty()) << "FW payload must not survive a switch";
   EXPECT_FALSE(warm.bush.empty());
 
   req.backend = EquilibriumBackend::kPathEqualization;
-  ASSERT_TRUE(solve_equilibrium(inst, {}, req, ws, &warm, &warm).converged);
+  ASSERT_TRUE(
+      solve_ok(solve_equilibrium(inst, {}, req, ws, &warm, &warm).status));
   EXPECT_EQ(warm.backend, EquilibriumBackend::kPathEqualization);
   EXPECT_TRUE(warm.bush.empty()) << "bush payload must not survive a switch";
   EXPECT_FALSE(warm.paths.empty());

@@ -23,7 +23,7 @@ ScenarioSpec links_spec() {
   ScenarioSpec spec;
   spec.name = "faults-links";
   spec.grid.add("a", {1, 2}).add_linspace("demand", 0.5, 1.5, 3);
-  spec.factory = [](const ParamPoint& p, Rng&) -> Instance {
+  spec.factory = [](const ParamPoint& p, Rng&) -> engine::Instance {
     ParallelLinks m = pigou();
     m.demand = p.get("demand");
     return m;
@@ -39,7 +39,7 @@ ScenarioSpec network_spec() {
   ScenarioSpec spec;
   spec.name = "faults-network";
   spec.grid.add_linspace("demand", 0.8, 1.2, 4);
-  spec.factory = [](const ParamPoint& p, Rng&) -> Instance {
+  spec.factory = [](const ParamPoint& p, Rng&) -> engine::Instance {
     NetworkInstance inst = braess_classic();
     for (Commodity& c : inst.commodities) c.demand = p.get("demand");
     return inst;

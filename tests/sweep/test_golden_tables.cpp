@@ -28,7 +28,8 @@ struct Golden {
   std::uint64_t cold;
 };
 
-// Recorded with digits = 17 (round-trip precision), one thread.
+// Recorded at one thread with 17 fixed decimals (SweepOptions::digits),
+// far finer than the tables' default 6.
 const std::map<std::string, Golden>& golden() {
   static const std::map<std::string, Golden> table = {
       {"pigou-grid", {0xf20ad3f3d35b328aULL, 0xf20ad3f3d35b328aULL}},
@@ -40,10 +41,13 @@ const std::map<std::string, Golden>& golden() {
       {"grid-bpr", {0x46095a695cc5259fULL, 0x46095a695cc5259fULL}},
       {"series-parallel", {0xd9a9856cc4a65b95ULL, 0xd9a9856cc4a65b95ULL}},
       {"braess-ladder", {0xa189cac4b7e0615eULL, 0xa189cac4b7e0615eULL}},
-      {"strategy-compare-parallel", {0xe88aa54c4bce0517ULL, 0xae7cbe0e1442e0e5ULL}},
+      {"strategy-compare-parallel",
+       {0xe88aa54c4bce0517ULL, 0xae7cbe0e1442e0e5ULL}},
       {"strategy-compare-grid", {0x5120a808b6d1ed02ULL, 0x803302d6b5500ed2ULL}},
-      {"strategy-compare-braess", {0xf6e41e2bf916d665ULL, 0xf6e41e2bf916d665ULL}},
-      {"strategy-compare-siouxfalls", {0xb7e4b0844df39564ULL, 0xb7e4b0844df39564ULL}},
+      {"strategy-compare-braess",
+       {0xf6e41e2bf916d665ULL, 0xf6e41e2bf916d665ULL}},
+      {"strategy-compare-siouxfalls",
+       {0xb7e4b0844df39564ULL, 0xb7e4b0844df39564ULL}},
   };
   return table;
 }

@@ -101,9 +101,11 @@ TEST(StrategySweep, AlphaStarMetricBisectsToTheKnownThreshold) {
   ScenarioSpec spec;
   spec.name = "pigou-alpha-star";
   spec.grid.add("demand", {1.0});
-  spec.factory = [](const ParamPoint&, Rng&) -> Instance { return pigou(); };
-  spec.metrics = {metric_alpha_to_optimum(StrategyKind::kLlf, 1e-3),
-                  metric_alpha_to_optimum(StrategyKind::kScale, 1e-3)};
+  spec.factory = [](const ParamPoint&, Rng&) -> engine::Instance {
+    return pigou();
+  };
+  spec.metrics = {metric_alpha_to_optimum(engine::StrategyKind::kLlf, 1e-3),
+                  metric_alpha_to_optimum(engine::StrategyKind::kScale, 1e-3)};
   const SweepResult r = run_with(spec, false, 1);
   ASSERT_EQ(r.num_failed(), 0u);
   const double llf_star = column(r, 0, "llf_alpha_star");
@@ -120,8 +122,10 @@ TEST(StrategySweep, MissingAlphaAxisIsACleanFailedRow) {
   ScenarioSpec spec;
   spec.name = "no-alpha";
   spec.grid.add("demand", {1.0});
-  spec.factory = [](const ParamPoint&, Rng&) -> Instance { return pigou(); };
-  spec.metrics = {metric_strategy_ratio(StrategyKind::kScale)};
+  spec.factory = [](const ParamPoint&, Rng&) -> engine::Instance {
+    return pigou();
+  };
+  spec.metrics = {metric_strategy_ratio(engine::StrategyKind::kScale)};
   const SweepResult r = run_with(spec, false, 1);
   ASSERT_EQ(r.num_tasks(), 1u);
   EXPECT_EQ(r.num_failed(), 1u);
@@ -136,11 +140,13 @@ TEST(StrategySweep, AloofColumnMatchesPoaTimesOne) {
   spec.name = "aloof-vs-poa";
   spec.grid.add("alpha", {0.5});
   Rng seed_rng(7);
-  auto proto = std::make_shared<Instance>(grid_city(seed_rng, 3, 3, 2.0));
-  spec.factory = [proto](const ParamPoint&, Rng&) -> Instance {
+  auto proto =
+      std::make_shared<engine::Instance>(grid_city(seed_rng, 3, 3, 2.0));
+  spec.factory = [proto](const ParamPoint&, Rng&) -> engine::Instance {
     return *proto;
   };
-  spec.metrics = {metric_poa(), metric_strategy_ratio(StrategyKind::kAloof)};
+  spec.metrics = {metric_poa(),
+                  metric_strategy_ratio(engine::StrategyKind::kAloof)};
   const SweepResult r = run_with(spec, false, 1);
   ASSERT_EQ(r.num_failed(), 0u);
   EXPECT_EQ(column(r, 0, "poa"), column(r, 0, "aloof_ratio"));

@@ -119,7 +119,7 @@ ScenarioSpec randomized_spec() {
   spec.name = "test-affine";
   spec.grid.add("links", {2, 3}).add("demand", {0.5, 1.0}).add_range(
       "replicate", 0, 4);
-  spec.factory = [](const ParamPoint& p, Rng& rng) -> Instance {
+  spec.factory = [](const ParamPoint& p, Rng& rng) -> engine::Instance {
     return random_affine_links(rng, p.get_int("links"), p.get("demand"));
   };
   spec.metrics = default_metrics();
@@ -217,7 +217,7 @@ TEST(SweepRunner, FileInstanceSourceSweepsDemand) {
 
 TEST(SweepRunner, OverrideDemandRescalesCommodities) {
   Rng rng(5);
-  Instance inst = grid_city_multicommodity(rng, 3, 3, 3, 0.2, 0.6);
+  engine::Instance inst = grid_city_multicommodity(rng, 3, 3, 3, 0.2, 0.6);
   const auto& net = std::get<NetworkInstance>(inst);
   const double before = net.total_demand();
   ASSERT_GT(before, 0.0);
@@ -233,7 +233,7 @@ TEST(SweepRunner, FailedTasksAreReportedNotFatal) {
   ScenarioSpec spec;
   spec.name = "failing";
   spec.grid.add("demand", {1.0, -1.0, 2.0});  // -1 is infeasible
-  spec.factory = [](const ParamPoint& p, Rng&) -> Instance {
+  spec.factory = [](const ParamPoint& p, Rng&) -> engine::Instance {
     ParallelLinks m = pigou();
     m.demand = p.get("demand");
     m.validate();
@@ -267,7 +267,9 @@ TEST(TaskEval, CachedRunsComputeOncePerTask) {
   ScenarioSpec spec;
   spec.name = "cached";
   spec.grid.add("x", {1.0, 2.0});
-  spec.factory = [](const ParamPoint&, Rng&) -> Instance { return pigou(); };
+  spec.factory = [](const ParamPoint&, Rng&) -> engine::Instance {
+    return pigou();
+  };
   // Both metrics share one cached solve; the counter metric reports how
   // many times compute ran for its own task (expected: exactly once).
   spec.metrics = {
@@ -297,7 +299,9 @@ TEST(SweepRunner, RequiresFactoryAndMetrics) {
   spec.name = "empty";
   spec.metrics = {metric_beta()};
   EXPECT_THROW((void)SweepRunner().run(spec), Error);  // no factory
-  spec.factory = [](const ParamPoint&, Rng&) -> Instance { return pigou(); };
+  spec.factory = [](const ParamPoint&, Rng&) -> engine::Instance {
+    return pigou();
+  };
   spec.metrics.clear();
   EXPECT_THROW((void)SweepRunner().run(spec), Error);  // no metrics
 }
@@ -305,7 +309,9 @@ TEST(SweepRunner, RequiresFactoryAndMetrics) {
 TEST(SweepRunner, RejectsDuplicateColumnNames) {
   ScenarioSpec spec;
   spec.name = "dup";
-  spec.factory = [](const ParamPoint&, Rng&) -> Instance { return pigou(); };
+  spec.factory = [](const ParamPoint&, Rng&) -> engine::Instance {
+    return pigou();
+  };
   spec.metrics = {metric_beta(), metric_beta()};  // two "beta" columns
   EXPECT_THROW((void)SweepRunner().run(spec), Error);
   // A metric colliding with a grid axis name is just as ambiguous.
@@ -317,7 +323,9 @@ TEST(SweepRunner, RejectsDuplicateColumnNames) {
 TEST(SweepRunner, RejectsReservedColumnNamesUpFront) {
   ScenarioSpec spec;
   spec.name = "reserved";
-  spec.factory = [](const ParamPoint&, Rng&) -> Instance { return pigou(); };
+  spec.factory = [](const ParamPoint&, Rng&) -> engine::Instance {
+    return pigou();
+  };
   // "status" and "millis" are appended by table()/timing_table(); catching
   // the clash before the sweep runs avoids wasting the whole grid.
   spec.metrics = {{"status", [](TaskEval&) { return 1.0; }}};
@@ -329,7 +337,9 @@ TEST(SweepRunner, RejectsReservedColumnNamesUpFront) {
 TEST(SweepRunner, SinglePointSweepPinsInnerThreadsAndRestores) {
   ScenarioSpec spec;
   spec.name = "single";
-  spec.factory = [](const ParamPoint&, Rng&) -> Instance { return pigou(); };
+  spec.factory = [](const ParamPoint&, Rng&) -> engine::Instance {
+    return pigou();
+  };
   // Observe the thread setting from inside the lone task: with no outer
   // fan-out possible, the runner must serialize the solvers' own parallel
   // reductions to keep the determinism contract.

@@ -60,7 +60,7 @@ TEST(WarmChains, ChainCountsFollowTheGrid) {
   spec.name = "chain-shape";
   spec.grid.add("a", {1, 2}).add_linspace("demand", 0.5, 2.0, 5).add("b",
                                                                      {1, 2, 3});
-  spec.factory = [](const ParamPoint& p, Rng&) -> Instance {
+  spec.factory = [](const ParamPoint& p, Rng&) -> engine::Instance {
     ParallelLinks m = pigou();
     m.demand = p.get("demand");
     return m;
@@ -109,13 +109,13 @@ TEST(WarmChains, PrototypeScenariosChainCompatiblyAlongDemand) {
     Rng rng_a(1), rng_b(2);
     ParamPoint a({"degree", "fast_links", "demand"}, {3.0, 3.0, 1.0});
     ParamPoint b({"degree", "fast_links", "demand"}, {3.0, 3.0, 2.0});
-    const Instance ia = spec.factory(a, rng_a);
-    const Instance ib = spec.factory(b, rng_b);
-    EXPECT_TRUE(chain_compatible(ia, ib)) << name;
+    const engine::Instance ia = spec.factory(a, rng_a);
+    const engine::Instance ib = spec.factory(b, rng_b);
+    EXPECT_TRUE(engine::chain_compatible(ia, ib)) << name;
     // A different non-warm coordinate must not be compatible.
     ParamPoint c({"degree", "fast_links", "demand"}, {4.0, 4.0, 2.0});
-    const Instance ic = spec.factory(c, rng_b);
-    EXPECT_FALSE(chain_compatible(ia, ic)) << name;
+    const engine::Instance ic = spec.factory(c, rng_b);
+    EXPECT_FALSE(engine::chain_compatible(ia, ic)) << name;
   }
 }
 
@@ -160,12 +160,12 @@ TEST(WarmChains, TopologyChangeMidChainFallsBackCold) {
   ScenarioSpec spec;
   spec.name = "topology-break";
   spec.grid.add_linspace("demand", 0.5, 2.0, 6);
-  spec.factory = [](const ParamPoint& p, Rng&) -> Instance {
+  spec.factory = [](const ParamPoint& p, Rng&) -> engine::Instance {
     const double d = p.get("demand");
     Rng gen_rng(42);  // fixed: the topology flip is the only variation
-    Instance inst = d < 1.2
-                        ? Instance(fig7_instance(0.05))
-                        : Instance(random_layered_dag(gen_rng, 2, 3, 0.6, d));
+    engine::Instance inst =
+        d < 1.2 ? engine::Instance(fig7_instance(0.05))
+                : engine::Instance(random_layered_dag(gen_rng, 2, 3, 0.6, d));
     override_demand(inst, d);
     return inst;
   };
@@ -183,7 +183,7 @@ TEST(WarmChains, TaskFailureResetsTheChain) {
   ScenarioSpec spec;
   spec.name = "mid-chain-failure";
   spec.grid.add("demand", {0.5, 1.0, -1.0, 1.5, 2.0});  // -1 is infeasible
-  spec.factory = [](const ParamPoint& p, Rng&) -> Instance {
+  spec.factory = [](const ParamPoint& p, Rng&) -> engine::Instance {
     ParallelLinks m = pigou();
     m.demand = p.get("demand");
     m.validate();
@@ -208,21 +208,21 @@ TEST(WarmChains, RevisionTagForcesRecompileOnTopologyChange) {
   NetworkInstance b = random_layered_dag(rng, 2, 3, 0.6, 1.0);
   SolverWorkspace ws;
 
-  (void)solve_nash(a, {}, ws);
+  (void)solve_equilibrium(a, {}, {}, ws, nullptr, nullptr);
   const std::uint64_t after_first = ws.instance_revision();
   EXPECT_GT(after_first, 0u);
 
   // Same instance again: pointer-identical latencies, no recompilation.
-  (void)solve_nash(a, {}, ws);
+  (void)solve_equilibrium(a, {}, {}, ws, nullptr, nullptr);
   EXPECT_EQ(ws.instance_revision(), after_first);
 
   // Only the demand changed: still no recompilation.
   for (auto& c : a.commodities) c.demand *= 1.5;
-  (void)solve_nash(a, {}, ws);
+  (void)solve_equilibrium(a, {}, {}, ws, nullptr, nullptr);
   EXPECT_EQ(ws.instance_revision(), after_first);
 
   // Different network: the tag must move.
-  (void)solve_nash(b, {}, ws);
+  (void)solve_equilibrium(b, {}, {}, ws, nullptr, nullptr);
   EXPECT_GT(ws.instance_revision(), after_first);
 }
 
@@ -284,9 +284,11 @@ TEST(WarmChainCounters, TopologyBreakResetsExactlyAtTheFlip) {
   ScenarioSpec spec;
   spec.name = "counted-topology-break";
   spec.grid.add_linspace("demand", 0.5, 2.0, 6);  // 0.5 0.8 1.1 | 1.4 1.7 2.0
-  spec.factory = [proto_a, proto_b](const ParamPoint& p, Rng&) -> Instance {
+  spec.factory = [proto_a, proto_b](const ParamPoint& p,
+                                    Rng&) -> engine::Instance {
     const double d = p.get("demand");
-    Instance inst = d < 1.2 ? Instance(proto_a) : Instance(proto_b);
+    engine::Instance inst =
+        d < 1.2 ? engine::Instance(proto_a) : engine::Instance(proto_b);
     override_demand(inst, d);
     return inst;
   };
@@ -313,7 +315,7 @@ TEST(WarmChainCounters, TaskFailureResetIsCountedOnTheFailingTask) {
   spec.grid.add("demand", {0.5, 1.0, -1.0, 1.5, 2.0});
   const InstanceFactory base =
       generated_instance_source(gen::sized_spec("grid-bpr", 3), 7);
-  spec.factory = [base](const ParamPoint& p, Rng& rng) -> Instance {
+  spec.factory = [base](const ParamPoint& p, Rng& rng) -> engine::Instance {
     if (p.get("demand") < 0.0) throw std::runtime_error("infeasible demand");
     return base(p, rng);
   };

@@ -407,6 +407,7 @@ std::string resolve_generator(const std::string& name) {
 std::vector<stackroute::sweep::Metric> strategy_cli_metrics(
     const std::string& strategy) {
   using namespace stackroute::sweep;
+  using stackroute::engine::StrategyKind;
   if (strategy == "optop") {
     // The exact strategy: its ratio is 1 by Theorem 2.1; beta is the α it
     // needs — the row the baselines are measured against.
