@@ -347,7 +347,7 @@ std::string FrontEnd::process(Client& c, const Item& item, bool* is_error,
       p.solve.session = sit->second;
     }
     p.solve.cancel = &c.cancelled;
-    engine::SolveResponse resp = engine_.solve_pinned(p.solve);
+    engine::SolveResponse resp = engine_.solve(p.solve);
     if (!resp.ok) {
       *is_error = true;
       resp.error = "line " + std::to_string(item.line_no) + ": " + resp.error;

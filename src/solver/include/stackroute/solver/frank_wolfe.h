@@ -2,7 +2,7 @@
 //
 // The classical method for the convex routing programs: linearize at the
 // current flow, route everything all-or-nothing on shortest paths
-// (Dijkstra per commodity, OpenMP-parallel), then take the best convex
+// (Dijkstra per commodity, pool-parallel), then take the best convex
 // combination. Converges O(1/k) — kept as an independent cross-check of
 // the path-equilibration solver and as the ablation baseline for the
 // bench suite (exact vs harmonic step, FW vs equilibration).

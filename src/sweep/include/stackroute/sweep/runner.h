@@ -18,7 +18,8 @@
 // to_markdown()/to_csv()/to_json() — are bitwise identical at any thread
 // count (set_max_threads(1) vs default). The chain decomposition is a pure
 // function of the grid, each chain runs its tasks in axis order on one
-// thread, warm-start hand-off happens only inside a chain, and every task
+// thread (under a SerialScope, so the solvers' own loops run serially
+// too), warm-start hand-off happens only inside a chain, and every task
 // derives its Rng from mix_seed(base_seed, flat index) — so neither
 // scheduling nor thread count can perturb any record. Warm and cold runs
 // of the same spec agree to solver tolerance (equal at table precision),

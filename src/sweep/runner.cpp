@@ -7,10 +7,6 @@
 #include <sstream>
 #include <utility>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "stackroute/engine/engine.h"
 #include "stackroute/obs/profile.h"
 #include "stackroute/obs/timing.h"
@@ -287,18 +283,8 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec,
     }
   }
 
-  // The determinism contract needs the solvers' own parallel reductions
-  // serialized: inside the fan-out below they are nested OpenMP regions and
-  // collapse to one thread, but a single-chain sweep never opens the outer
-  // region, so pin it to one thread explicitly. Capping active levels
-  // guards the nested case even under OMP_MAX_ACTIVE_LEVELS overrides.
-#ifdef _OPENMP
-  const int saved_levels = omp_get_max_active_levels();
-  omp_set_max_active_levels(1);
-#endif
-  const int saved_threads = max_threads_setting();
-  if (layout.chains < 2) set_max_threads(1);
-  result.threads = max_threads();  // after the pin, so summary() is honest
+  // A single chain never opens the fan-out below; report what it runs on.
+  result.threads = layout.chains < 2 ? 1 : max_threads();
 
   // The runner is a thin client of the engine: every chain is an engine
   // session (workspace + warm payloads), opened up front so the chain
@@ -316,12 +302,16 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec,
 
   obs::Timer total;
   // grain = 1: chains are sequences of whole equilibrium computations,
-  // orders of magnitude heavier than the OpenMP dispatch overhead the
+  // orders of magnitude heavier than the pool dispatch overhead the
   // default grain guards against — and 100-chain grids should still fan
   // out.
   parallel_for(
       layout.chains,
       [&](std::size_t c) {
+        // The determinism contract needs the solvers' own parallel
+        // reductions serialized, also for a single chain, which runs on
+        // the calling thread outside any pool chunk.
+        const SerialScope serial;
         // The chain's persistent state: the engine session owning the
         // workspace + warm-start payloads, handed from each task to the
         // next in axis order. With inactive layouts (length 1) the context
@@ -349,8 +339,8 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec,
             task_span.emplace(label);
           }
           obs::Timer sw;
-          // Exceptions must not escape an OpenMP region: record and move
-          // on, decide about rethrowing once the loop has joined.
+          // Exceptions are recorded per task and the chain moves on;
+          // rethrowing is decided once the loop has joined.
           // grid.at() is inside too — even a bad_alloc there must become a
           // failed row. A failed attempt drops the chain's warm state and
           // may be re-attempted cold per RetryPolicy; faults for this task
@@ -427,10 +417,6 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec,
       },
       /*grain=*/1);
   result.total_millis = total.milliseconds();
-  if (layout.chains < 2) set_max_threads(saved_threads);
-#ifdef _OPENMP
-  omp_set_max_active_levels(saved_levels);
-#endif
 
   if (!opts_.keep_going) {
     for (const auto& rec : result.records) {

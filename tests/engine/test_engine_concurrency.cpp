@@ -1,8 +1,8 @@
 // Engine under concurrency (engine/engine.h): many threads driving
 // solve()/solve_batch()/session open-close with no lost or duplicated
-// responses and thread-count-invariant results; solve_pinned fan-out
-// under one SolverPin; the byte budgets (table cache + session set) and
-// the cancellation fast path that back the serve front end.
+// responses and thread-count-invariant results, also beside direct
+// pool-parallel solver calls; the byte budgets (table cache + session
+// set) and the cancellation fast path that back the serve front end.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +16,10 @@
 #include "stackroute/engine/engine.h"
 #include "stackroute/gen/registry.h"
 #include "stackroute/latency/families.h"
+#include "stackroute/network/generators.h"
+#include "stackroute/solver/backend.h"
+#include "stackroute/util/parallel.h"
+#include "stackroute/util/rng.h"
 
 namespace stackroute::engine {
 namespace {
@@ -49,7 +53,7 @@ SolveRequest stress_request(std::size_t thread, std::size_t step) {
   return request(RequestKind::kEquilibrium, links_instance(demand), id);
 }
 
-TEST(EngineConcurrencyTest, PinnedSolvesAreThreadCountInvariant) {
+TEST(EngineConcurrencyTest, ConcurrentSolvesAreThreadCountInvariant) {
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kPerThread = 16;
 
@@ -73,13 +77,12 @@ TEST(EngineConcurrencyTest, PinnedSolvesAreThreadCountInvariant) {
   std::map<std::uint64_t, double> got;  // id -> cost; map rejects dups
   std::atomic<std::size_t> duplicates{0};
   {
-    const SolverPin pin;
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
         for (std::size_t i = 0; i < kPerThread; ++i) {
           const SolveRequest req = stress_request(t, i);
-          const SolveResponse r = eng.solve_pinned(req);
+          const SolveResponse r = eng.solve(req);
           ASSERT_TRUE(r.ok) << r.error;
           ASSERT_EQ(r.id, req.id);
           const std::lock_guard<std::mutex> lock(mu);
@@ -156,14 +159,13 @@ TEST(EngineConcurrencyTest, ConcurrentSameSessionRequestsQueueSafely) {
   constexpr std::size_t kPerThread = 8;
   std::atomic<std::size_t> ok_count{0};
   {
-    const SolverPin pin;
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
         for (std::size_t i = 0; i < kPerThread; ++i) {
           SolveRequest req = stress_request(t, i);
           req.session = s;
-          const SolveResponse r = eng.solve_pinned(req);
+          const SolveResponse r = eng.solve(req);
           ASSERT_TRUE(r.ok) << r.error;
           ++ok_count;
         }
@@ -173,6 +175,74 @@ TEST(EngineConcurrencyTest, ConcurrentSameSessionRequestsQueueSafely) {
   }
   EXPECT_EQ(ok_count.load(), kThreads * kPerThread);
   EXPECT_TRUE(eng.close_session(s));
+}
+
+TEST(EngineConcurrencyTest, EngineSolvesRunBesidePoolParallelSolverCalls) {
+  constexpr std::size_t kEngineThreads = 4;
+  constexpr std::size_t kPerThread = 6;
+  constexpr int kBushSolves = 4;
+  Rng rng(43);
+  const NetworkInstance net =
+      grid_city_multicommodity(rng, 5, 5, 8, 0.5, 2.0);
+  EquilibriumRequest bush_req;
+  bush_req.backend = EquilibriumBackend::kBush;
+  const auto bush_solve = [&] {
+    SolverWorkspace ws;
+    return solve_equilibrium(net, {}, bush_req, ws, nullptr, nullptr);
+  };
+
+  // Serial references: engine answers one at a time, the bush flow at one
+  // thread (bush edge flows are bitwise thread-count invariant).
+  std::map<std::uint64_t, double> expected;
+  {
+    Engine serial;
+    for (std::size_t t = 0; t < kEngineThreads; ++t) {
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        const SolveRequest req = stress_request(t, i);
+        expected[req.id] = serial.solve(req).cost;
+      }
+    }
+  }
+  const int saved = max_threads_setting();
+  set_max_threads(1);
+  const EquilibriumResult bush_serial = bush_solve();
+  ASSERT_TRUE(solve_ok(bush_serial.status));
+
+  // One thread drives the pool with 4-thread bush solves while four
+  // others call Engine::solve; nothing waits on anything else.
+  set_max_threads(4);
+  Engine eng;
+  std::mutex mu;
+  std::map<std::uint64_t, double> got;
+  std::vector<EquilibriumResult> bush_runs(kBushSolves);
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    for (EquilibriumResult& r : bush_runs) r = bush_solve();
+  });
+  for (std::size_t t = 0; t < kEngineThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        const SolveRequest req = stress_request(t, i);
+        const SolveResponse r = eng.solve(req);
+        const std::lock_guard<std::mutex> lock(mu);
+        got.emplace(r.id, r.ok ? r.cost : std::nan(""));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  set_max_threads(saved);
+
+  ASSERT_EQ(got.size(), expected.size());
+  for (const auto& [id, cost] : expected) {
+    EXPECT_EQ(got[id], cost) << "id " << id;  // bitwise
+  }
+  for (const EquilibriumResult& r : bush_runs) {
+    ASSERT_TRUE(solve_ok(r.status));
+    ASSERT_EQ(r.edge_flow.size(), bush_serial.edge_flow.size());
+    for (std::size_t e = 0; e < r.edge_flow.size(); ++e) {
+      EXPECT_EQ(r.edge_flow[e], bush_serial.edge_flow[e]) << "edge " << e;
+    }
+  }
 }
 
 TEST(EngineConcurrencyTest, SessionByteBudgetShedsButKeepsSessionsUsable) {

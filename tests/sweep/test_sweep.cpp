@@ -131,7 +131,7 @@ TEST(SweepRunner, DeterministicAcrossThreadCounts) {
   const ScenarioSpec spec = randomized_spec();
   set_max_threads(1);
   const SweepResult serial = SweepRunner().run(spec);
-  set_max_threads(0);  // library default: all cores when OpenMP is enabled
+  set_max_threads(0);  // library default: all cores
   const SweepResult threaded = SweepRunner().run(spec);
   set_max_threads(0);
 

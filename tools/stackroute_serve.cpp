@@ -83,6 +83,7 @@
 #include "stackroute/serve/frontend.h"
 #include "stackroute/serve/protocol.h"
 #include "stackroute/util/error.h"
+#include "stackroute/util/parallel.h"
 
 namespace {
 
@@ -90,7 +91,8 @@ int usage(std::ostream& os, int code) {
   os << "usage: stackroute-serve [options]\n"
         "  --replay FILE        read requests from FILE instead of stdin\n"
         "  --socket PATH        serve concurrent clients on a Unix socket\n"
-        "  --workers N          solver worker threads (default 4)\n"
+        "  --workers N          solver worker threads (default 4, at most "
+        "1024)\n"
         "  --max-clients N      concurrent socket connections (default 64)\n"
         "  --max-queue N        global queued-request bound (default 256)\n"
         "  --max-client-queue N per-client queued-request bound (default "
@@ -616,6 +618,11 @@ int main(int argc, char** argv) {
       o.socket_path = v;
     } else if (arg == "--workers") {
       if (!count_flag("--workers", &o.workers)) return usage(std::cerr, 1);
+      if (o.workers > static_cast<std::size_t>(stackroute::kMaxThreads)) {
+        std::cerr << "--workers " << o.workers << " exceeds "
+                  << stackroute::kMaxThreads << "\n";
+        return usage(std::cerr, 1);
+      }
       if (o.workers == 0) o.workers = 1;
     } else if (arg == "--max-clients") {
       if (!count_flag("--max-clients", &o.max_clients)) {

@@ -66,8 +66,9 @@ int usage(std::ostream& os, int code) {
         "                        reusing the neighboring point's converged\n"
         "                        state (default on; off = independent cold\n"
         "                        tasks, for A/B timing)\n"
-        "  --threads N           worker threads (0 = all cores, 1 = serial;\n"
-        "                        chains are the unit of parallelism)\n"
+        "  --threads N           worker threads (0 = all cores, 1 = serial,\n"
+        "                        at most 1024; chains are the unit of\n"
+        "                        parallelism)\n"
         "  --format FMT          md | csv | json (default md)\n"
         "  --out PATH            write the table to a file instead of stdout\n"
         "  --timing              include the diagnostic chain/wall-clock\n"
@@ -310,9 +311,10 @@ bool parse_args(int argc, char** argv, Args& args) {
       return false;
     }
   }
-  if (args.threads < 0) {
+  if (args.threads < 0 || args.threads > stackroute::kMaxThreads) {
     std::cerr << "bad value for --threads: " << args.threads
-              << " (must be >= 0; 0 = all cores)\n";
+              << " (must be in [0, " << stackroute::kMaxThreads
+              << "]; 0 = all cores)\n";
     return false;
   }
   if (args.deadline_ms < 0.0) {

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Exit-code contract of stackroute-sweep.
+"""Exit-code contract of stackroute-sweep (and stackroute-serve's flags).
 
   0  clean sweep (every row converged)
   1  usage error (bad flags/values) or runtime error
   2  sweep completed but some rows failed or were degraded
 
-Run with the binary path as the only argument:
+Run with the two binary paths as arguments:
 
-  test_cli_exit_codes.py /path/to/stackroute-sweep
+  test_cli_exit_codes.py /path/to/stackroute-sweep /path/to/stackroute-serve
 """
 import subprocess
 import sys
@@ -16,6 +16,7 @@ import sys
 def run(binary, *args):
     proc = subprocess.run(
         [binary, *args],
+        stdin=subprocess.DEVNULL,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -25,14 +26,15 @@ def run(binary, *args):
 
 
 def main():
-    if len(sys.argv) != 2:
-        print("usage: test_cli_exit_codes.py <stackroute-sweep binary>")
+    if len(sys.argv) != 3:
+        print("usage: test_cli_exit_codes.py <stackroute-sweep binary> "
+              "<stackroute-serve binary>")
         return 2
-    binary = sys.argv[1]
+    binary, serve = sys.argv[1], sys.argv[2]
     failures = []
 
-    def check(name, expected_code, *args, stderr_contains=None):
-        proc = run(binary, *args)
+    def check(name, expected_code, *args, stderr_contains=None, exe=None):
+        proc = run(exe or binary, *args)
         if proc.returncode != expected_code:
             failures.append(
                 f"{name}: expected exit {expected_code}, got {proc.returncode}"
@@ -79,6 +81,11 @@ def main():
     # scenario.
     check("unknown-flag", 1, "--bogus")
     check("bad-threads", 1, *common[:4], "--threads", "-2")
+    # Thread counts are bounded: the pool starts as many threads as asked.
+    check("too-many-threads", 1, *common[:4], "--threads", "1025",
+          stderr_contains="--threads")
+    check("too-many-workers", 1, "--workers", "1025", exe=serve,
+          stderr_contains="--workers")
     check("bad-inject-kind", 1, *common, "--inject", "frobnicate:1")
     check("bad-inject-field", 1, *common, "--inject", "fail:xyz")
     check("unknown-scenario", 1, "--scenario", "no-such-scenario")
