@@ -19,8 +19,7 @@
 #include "bench_main.h"
 #include "stackroute/gen/registry.h"
 #include "stackroute/network/instance.h"
-#include "stackroute/solver/bush.h"
-#include "stackroute/solver/frank_wolfe.h"
+#include "stackroute/solver/backend.h"
 #include "stackroute/sweep/scenario.h"
 #include "stackroute/util/parallel.h"
 
@@ -45,13 +44,14 @@ void fw_slice(benchmark::State& state, const NetworkInstance& inst,
               int iters) {
   const int saved = max_threads_setting();
   set_max_threads(1);
-  FrankWolfeOptions opts;
-  opts.max_iters = iters;
-  opts.rel_gap_tol = 0.0;  // run the full slice; record the achieved gap
+  EquilibriumRequest req;
+  req.backend = EquilibriumBackend::kFrankWolfe;
+  req.frank_wolfe.max_iters = iters;
+  // Run the full slice; record the achieved gap.
+  req.frank_wolfe.rel_gap_tol = 0.0;
   double gap = 0.0;
   for (auto _ : state) {
-    const FrankWolfeResult r = frank_wolfe(inst, FlowObjective::kBeckmann,
-                                           {}, opts);
+    const EquilibriumResult r = solve_equilibrium(inst, req);
     gap = r.rel_gap;
     benchmark::DoNotOptimize(r.objective);
   }
@@ -64,12 +64,13 @@ void bush_to_gap(benchmark::State& state, const NetworkInstance& inst,
                  double tol) {
   const int saved = max_threads_setting();
   set_max_threads(1);
-  BushOptions opts;
-  opts.rel_gap_tol = tol;
+  EquilibriumRequest req;
+  req.backend = EquilibriumBackend::kBush;
+  req.bush.rel_gap_tol = tol;
   double gap = 0.0;
   int iters = 0;
   for (auto _ : state) {
-    const BushResult r = solve_bush(inst, FlowObjective::kBeckmann, {}, opts);
+    const EquilibriumResult r = solve_equilibrium(inst, req);
     if (!solve_ok(r.status)) state.SkipWithError("bush failed to converge");
     gap = r.rel_gap;
     iters = r.iterations;

@@ -10,7 +10,7 @@
 #include "stackroute/core/mop.h"
 #include "stackroute/equilibrium/network.h"
 #include "stackroute/gen/generators.h"
-#include "stackroute/solver/frank_wolfe.h"
+#include "stackroute/solver/backend.h"
 
 namespace {
 
@@ -38,9 +38,10 @@ BENCHMARK(BM_GridNashEquilibration)->Arg(4)->Arg(8)->Arg(12)->Arg(16)
 
 void BM_GridFrankWolfeOptimum(benchmark::State& state) {
   const NetworkInstance inst = grid_instance(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(frank_wolfe(inst, FlowObjective::kTotalCost));
-  }
+  EquilibriumRequest req;
+  req.backend = EquilibriumBackend::kFrankWolfe;
+  req.objective = FlowObjective::kTotalCost;
+  for (auto _ : state) benchmark::DoNotOptimize(solve_equilibrium(inst, req));
   annotate(state, inst);
 }
 BENCHMARK(BM_GridFrankWolfeOptimum)->Arg(4)->Arg(8)->Arg(12)->Arg(16)

@@ -17,8 +17,7 @@
 #include "stackroute/network/generators.h"
 #include "stackroute/obs/counters.h"
 #include "stackroute/obs/trace.h"
-#include "stackroute/solver/frank_wolfe.h"
-#include "stackroute/solver/traffic_assignment.h"
+#include "stackroute/solver/backend.h"
 #include "stackroute/solver/water_filling.h"
 #include "stackroute/util/rng.h"
 
@@ -31,46 +30,46 @@ NetworkInstance bench_grid() {
   return grid_city(rng, 10, 10, 2.0);
 }
 
-AssignmentOptions equilibration_opts() {
-  AssignmentOptions opts;
-  opts.tol = 1e-8;
-  return opts;
+EquilibriumRequest equilibration_request() {
+  EquilibriumRequest req;
+  req.assignment.tol = 1e-8;
+  return req;
 }
 
-FrankWolfeOptions fw_opts() {
-  FrankWolfeOptions opts;
-  opts.max_iters = 40;
-  opts.rel_gap_tol = 0.0;  // fixed budget: identical work in every mode
-  return opts;
+EquilibriumRequest fw_request() {
+  EquilibriumRequest req;
+  req.backend = EquilibriumBackend::kFrankWolfe;
+  req.frank_wolfe.max_iters = 40;
+  // Fixed budget: identical work in every mode.
+  req.frank_wolfe.rel_gap_tol = 0.0;
+  return req;
 }
 
 // ---- Path equilibration --------------------------------------------------
 
 void BM_PathEquilibrationCountersOff(benchmark::State& state) {
   const NetworkInstance inst = bench_grid();
-  const AssignmentOptions opts = equilibration_opts();
+  const EquilibriumRequest req = equilibration_request();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        assign_traffic(inst, FlowObjective::kBeckmann, {}, opts));
+    benchmark::DoNotOptimize(solve_equilibrium(inst, req));
   }
 }
 BENCHMARK(BM_PathEquilibrationCountersOff)->Unit(benchmark::kMillisecond);
 
 void BM_PathEquilibrationCountersOn(benchmark::State& state) {
   const NetworkInstance inst = bench_grid();
-  const AssignmentOptions opts = equilibration_opts();
+  const EquilibriumRequest req = equilibration_request();
   obs::SolveCounters sink;
   obs::CountersScope scope(sink);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        assign_traffic(inst, FlowObjective::kBeckmann, {}, opts));
+    benchmark::DoNotOptimize(solve_equilibrium(inst, req));
   }
 }
 BENCHMARK(BM_PathEquilibrationCountersOn)->Unit(benchmark::kMillisecond);
 
 void BM_PathEquilibrationTraced(benchmark::State& state) {
   const NetworkInstance inst = bench_grid();
-  const AssignmentOptions opts = equilibration_opts();
+  const EquilibriumRequest req = equilibration_request();
   obs::SolveCounters sink;
   obs::TraceSession session;
   obs::ConvergenceTrace convergence;
@@ -78,8 +77,7 @@ void BM_PathEquilibrationTraced(benchmark::State& state) {
   obs::TraceScope trace(session);
   obs::ConvergenceScope conv(convergence);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        assign_traffic(inst, FlowObjective::kBeckmann, {}, opts));
+    benchmark::DoNotOptimize(solve_equilibrium(inst, req));
   }
 }
 BENCHMARK(BM_PathEquilibrationTraced)->Unit(benchmark::kMillisecond);
@@ -88,29 +86,27 @@ BENCHMARK(BM_PathEquilibrationTraced)->Unit(benchmark::kMillisecond);
 
 void BM_FrankWolfeCountersOff(benchmark::State& state) {
   const NetworkInstance inst = bench_grid();
-  const FrankWolfeOptions opts = fw_opts();
+  const EquilibriumRequest req = fw_request();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts));
+    benchmark::DoNotOptimize(solve_equilibrium(inst, req));
   }
 }
 BENCHMARK(BM_FrankWolfeCountersOff)->Unit(benchmark::kMillisecond);
 
 void BM_FrankWolfeCountersOn(benchmark::State& state) {
   const NetworkInstance inst = bench_grid();
-  const FrankWolfeOptions opts = fw_opts();
+  const EquilibriumRequest req = fw_request();
   obs::SolveCounters sink;
   obs::CountersScope scope(sink);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts));
+    benchmark::DoNotOptimize(solve_equilibrium(inst, req));
   }
 }
 BENCHMARK(BM_FrankWolfeCountersOn)->Unit(benchmark::kMillisecond);
 
 void BM_FrankWolfeTraced(benchmark::State& state) {
   const NetworkInstance inst = bench_grid();
-  const FrankWolfeOptions opts = fw_opts();
+  const EquilibriumRequest req = fw_request();
   obs::SolveCounters sink;
   obs::TraceSession session;
   obs::ConvergenceTrace convergence;
@@ -118,8 +114,7 @@ void BM_FrankWolfeTraced(benchmark::State& state) {
   obs::TraceScope trace(session);
   obs::ConvergenceScope conv(convergence);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts));
+    benchmark::DoNotOptimize(solve_equilibrium(inst, req));
   }
 }
 BENCHMARK(BM_FrankWolfeTraced)->Unit(benchmark::kMillisecond);

@@ -13,8 +13,7 @@
 #include "stackroute/network/dijkstra.h"
 #include "stackroute/network/generators.h"
 #include "stackroute/network/maxflow.h"
-#include "stackroute/solver/frank_wolfe.h"
-#include "stackroute/solver/traffic_assignment.h"
+#include "stackroute/solver/backend.h"
 #include "stackroute/solver/water_filling.h"
 #include "stackroute/util/numeric.h"
 #include "stackroute/util/rng.h"
@@ -68,12 +67,12 @@ BENCHMARK(BM_WaterFillNumericInverse)->Arg(1000)->Arg(10000)
 void BM_FrankWolfeExactStep(benchmark::State& state) {
   Rng rng(2);
   const NetworkInstance inst = grid_city(rng, 5, 5, 2.0);
-  FrankWolfeOptions opts;
-  opts.max_iters = static_cast<int>(state.range(0));
-  opts.rel_gap_tol = 0.0;
+  EquilibriumRequest req;
+  req.backend = EquilibriumBackend::kFrankWolfe;
+  req.frank_wolfe.max_iters = static_cast<int>(state.range(0));
+  req.frank_wolfe.rel_gap_tol = 0.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts));
+    benchmark::DoNotOptimize(solve_equilibrium(inst, req));
   }
 }
 BENCHMARK(BM_FrankWolfeExactStep)->Arg(100)->Unit(benchmark::kMillisecond);
@@ -81,13 +80,13 @@ BENCHMARK(BM_FrankWolfeExactStep)->Arg(100)->Unit(benchmark::kMillisecond);
 void BM_FrankWolfeHarmonicStep(benchmark::State& state) {
   Rng rng(2);
   const NetworkInstance inst = grid_city(rng, 5, 5, 2.0);
-  FrankWolfeOptions opts;
-  opts.max_iters = static_cast<int>(state.range(0));
-  opts.rel_gap_tol = 0.0;
-  opts.step_rule = FwStepRule::kHarmonic;
+  EquilibriumRequest req;
+  req.backend = EquilibriumBackend::kFrankWolfe;
+  req.frank_wolfe.max_iters = static_cast<int>(state.range(0));
+  req.frank_wolfe.rel_gap_tol = 0.0;
+  req.frank_wolfe.step_rule = FwStepRule::kHarmonic;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts));
+    benchmark::DoNotOptimize(solve_equilibrium(inst, req));
   }
 }
 BENCHMARK(BM_FrankWolfeHarmonicStep)->Arg(100)->Unit(benchmark::kMillisecond);
@@ -95,11 +94,11 @@ BENCHMARK(BM_FrankWolfeHarmonicStep)->Arg(100)->Unit(benchmark::kMillisecond);
 void BM_FrankWolfeToModestGap(benchmark::State& state) {
   Rng rng(2);
   const NetworkInstance inst = grid_city(rng, 5, 5, 2.0);
-  FrankWolfeOptions opts;
-  opts.rel_gap_tol = 1e-4;
+  EquilibriumRequest req;
+  req.backend = EquilibriumBackend::kFrankWolfe;
+  req.frank_wolfe.rel_gap_tol = 1e-4;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts));
+    benchmark::DoNotOptimize(solve_equilibrium(inst, req));
   }
 }
 BENCHMARK(BM_FrankWolfeToModestGap)->Unit(benchmark::kMillisecond);
@@ -107,11 +106,11 @@ BENCHMARK(BM_FrankWolfeToModestGap)->Unit(benchmark::kMillisecond);
 void BM_PathEquilibrationToTightTol(benchmark::State& state) {
   Rng rng(2);
   const NetworkInstance inst = grid_city(rng, 5, 5, 2.0);
-  AssignmentOptions opts;
-  opts.tol = 1e-10;  // far tighter than FW's 1e-4 gap, usually faster too
+  EquilibriumRequest req;
+  // Far tighter than FW's 1e-4 gap, usually faster too.
+  req.assignment.tol = 1e-10;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        assign_traffic(inst, FlowObjective::kBeckmann, {}, opts));
+    benchmark::DoNotOptimize(solve_equilibrium(inst, req));
   }
 }
 BENCHMARK(BM_PathEquilibrationToTightTol)->Unit(benchmark::kMillisecond);
@@ -126,12 +125,12 @@ BENCHMARK(BM_PathEquilibrationToTightTol)->Unit(benchmark::kMillisecond);
 void BM_FrankWolfeLayeredLarge(benchmark::State& state) {
   Rng rng(7);
   const NetworkInstance inst = random_layered_dag(rng, 30, 16, 0.35, 4.0);
-  FrankWolfeOptions opts;
-  opts.max_iters = 60;
-  opts.rel_gap_tol = 0.0;
+  EquilibriumRequest req;
+  req.backend = EquilibriumBackend::kFrankWolfe;
+  req.frank_wolfe.max_iters = 60;
+  req.frank_wolfe.rel_gap_tol = 0.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts));
+    benchmark::DoNotOptimize(solve_equilibrium(inst, req));
   }
 }
 BENCHMARK(BM_FrankWolfeLayeredLarge)->Unit(benchmark::kMillisecond);
@@ -139,12 +138,12 @@ BENCHMARK(BM_FrankWolfeLayeredLarge)->Unit(benchmark::kMillisecond);
 void BM_FrankWolfeGridLarge(benchmark::State& state) {
   Rng rng(8);
   const NetworkInstance inst = grid_city(rng, 12, 12, 3.0);
-  FrankWolfeOptions opts;
-  opts.max_iters = 40;
-  opts.rel_gap_tol = 0.0;
+  EquilibriumRequest req;
+  req.backend = EquilibriumBackend::kFrankWolfe;
+  req.frank_wolfe.max_iters = 40;
+  req.frank_wolfe.rel_gap_tol = 0.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts));
+    benchmark::DoNotOptimize(solve_equilibrium(inst, req));
   }
 }
 BENCHMARK(BM_FrankWolfeGridLarge)->Unit(benchmark::kMillisecond);
@@ -152,11 +151,10 @@ BENCHMARK(BM_FrankWolfeGridLarge)->Unit(benchmark::kMillisecond);
 void BM_PathEquilibrationLayeredLarge(benchmark::State& state) {
   Rng rng(7);
   const NetworkInstance inst = random_layered_dag(rng, 20, 10, 0.35, 4.0);
-  AssignmentOptions opts;
-  opts.tol = 1e-7;
+  EquilibriumRequest req;
+  req.assignment.tol = 1e-7;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        assign_traffic(inst, FlowObjective::kBeckmann, {}, opts));
+    benchmark::DoNotOptimize(solve_equilibrium(inst, req));
   }
 }
 BENCHMARK(BM_PathEquilibrationLayeredLarge)->Unit(benchmark::kMillisecond);
@@ -164,11 +162,10 @@ BENCHMARK(BM_PathEquilibrationLayeredLarge)->Unit(benchmark::kMillisecond);
 void BM_PathEquilibrationGridLarge(benchmark::State& state) {
   Rng rng(8);
   const NetworkInstance inst = grid_city_multicommodity(rng, 10, 10, 8, 0.5, 1.5);
-  AssignmentOptions opts;
-  opts.tol = 1e-8;
+  EquilibriumRequest req;
+  req.assignment.tol = 1e-8;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        assign_traffic(inst, FlowObjective::kBeckmann, {}, opts));
+    benchmark::DoNotOptimize(solve_equilibrium(inst, req));
   }
 }
 BENCHMARK(BM_PathEquilibrationGridLarge)->Unit(benchmark::kMillisecond);
@@ -180,11 +177,10 @@ BENCHMARK(BM_PathEquilibrationGridLarge)->Unit(benchmark::kMillisecond);
 void BM_PathEquilibrationGridXL(benchmark::State& state) {
   Rng rng(9);
   const NetworkInstance inst = grid_city(rng, 30, 30, 3.0);
-  AssignmentOptions opts;
-  opts.tol = 1e-7;
+  EquilibriumRequest req;
+  req.assignment.tol = 1e-7;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        assign_traffic(inst, FlowObjective::kBeckmann, {}, opts));
+    benchmark::DoNotOptimize(solve_equilibrium(inst, req));
   }
 }
 BENCHMARK(BM_PathEquilibrationGridXL)->Unit(benchmark::kMillisecond);

@@ -11,7 +11,7 @@
 #include "bench_main.h"
 #include "stackroute/gen/registry.h"
 #include "stackroute/network/generators.h"
-#include "stackroute/solver/frank_wolfe.h"
+#include "stackroute/solver/backend.h"
 #include "stackroute/sweep/runner.h"
 #include "stackroute/sweep/scenarios.h"
 #include "stackroute/util/parallel.h"
@@ -94,30 +94,27 @@ void BM_GridBprDemandSweepWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_GridBprDemandSweepWarm)->Unit(benchmark::kMillisecond);
 
-// The raw Frank–Wolfe warm entry: a 16-point demand chain on a BPR grid,
-// each solve seeded with the previous converged flow rescaled by the
-// demand ratio (vs. the all-or-nothing bootstrap every time).
+// The Frank–Wolfe warm path: a 16-point demand chain on a BPR grid, each
+// solve seeded with the previous converged flow rescaled by the demand
+// ratio (vs. the all-or-nothing bootstrap every time).
 void fw_chain(benchmark::State& state, bool warm) {
   const int saved = max_threads_setting();
   set_max_threads(1);
   Rng rng(8);
   const NetworkInstance base = grid_city(rng, 12, 12, 3.0);
-  FrankWolfeOptions opts;
-  opts.rel_gap_tol = 1e-4;
+  EquilibriumRequest req;
+  req.backend = EquilibriumBackend::kFrankWolfe;
+  req.frank_wolfe.rel_gap_tol = 1e-4;
   for (auto _ : state) {
     SolverWorkspace ws;
+    EquilibriumWarmState chain;
     std::vector<double> prev_flow;
-    double prev_demand = 0.0;
     for (int i = 0; i < 16; ++i) {
       NetworkInstance inst = base;
       const double f = 1.0 + 0.05 * i;
       for (auto& c : inst.commodities) c.demand *= f;
-      FrankWolfeResult r =
-          warm ? frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts, ws,
-                             prev_flow, prev_demand)
-               : frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts, ws);
-      prev_flow = std::move(r.edge_flow);
-      prev_demand = inst.total_demand();
+      EquilibriumWarmState* link = warm ? &chain : nullptr;
+      prev_flow = solve_equilibrium(inst, {}, req, ws, link, link).edge_flow;
     }
     benchmark::DoNotOptimize(prev_flow);
   }

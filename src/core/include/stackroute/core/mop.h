@@ -86,6 +86,9 @@ enum class FreeFlowMethod {
 
 struct MopOptions {
   AssignmentOptions assignment;
+  /// Resource limits shared by the optimum and the induced verification
+  /// solve (armed once, so both draw on one deadline). Inactive by default.
+  SolveBudget budget;
   /// Slack below which an edge counts as lying on a shortest path.
   double tight_tol = 1e-7;
   /// Flows below this are treated as zero.

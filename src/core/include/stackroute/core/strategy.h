@@ -104,8 +104,7 @@ struct NetworkStackelbergOutcome {
   double cost = 0.0;            // C(S+T) on the instance's own latencies
   double ratio = 0.0;           // C(S+T)/C(O)
   /// How the induced assignment solve ended (see solver/status.h), with
-  /// its achieved path-cost spread as the honest quality bound. Budgets
-  /// flow in through AssignmentOptions::budget.
+  /// its achieved path-cost spread as the honest quality bound.
   SolveStatus status = SolveStatus::kConverged;
   double spread = 0.0;
   /// Work counters of the induced solve — all zero unless the calling
@@ -128,13 +127,14 @@ NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
 /// `warm` (null = cold) and publishing its converged follower state back
 /// there for the next chained point (an ill-fitting payload falls back to
 /// the cold start, never to a wrong answer; at α = 1 there is no follower
-/// solve and `warm` is cleared).
+/// solve and `warm` is cleared). `budget` limits the induced solve.
 NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
                                             const NetworkStrategy& strategy,
                                             double optimum_cost,
                                             const AssignmentOptions& opts,
                                             SolverWorkspace& ws,
-                                            EquilibriumWarmState* warm);
+                                            EquilibriumWarmState* warm,
+                                            const SolveBudget& budget = {});
 
 /// s = 0 on every edge: the do-nothing baseline.
 NetworkStrategy aloof_strategy(const NetworkInstance& inst);

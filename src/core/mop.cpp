@@ -77,7 +77,7 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
   EquilibriumRequest req;
   req.objective = FlowObjective::kTotalCost;
   req.assignment = opts.assignment;
-  req.budget = opts.assignment.budget.armed();
+  req.budget = opts.budget.armed();
   const Graph& g = inst.graph;
   const auto ne = static_cast<std::size_t>(g.num_edges());
   const std::size_t k = inst.commodities.size();

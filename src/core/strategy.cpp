@@ -177,7 +177,8 @@ NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
                                             double optimum_cost,
                                             const AssignmentOptions& opts,
                                             SolverWorkspace& ws,
-                                            EquilibriumWarmState* warm) {
+                                            EquilibriumWarmState* warm,
+                                            const SolveBudget& budget) {
   obs::ScopedCounterDelta tally;
   obs::ScopedSpan span("evaluate_strategy");
   const auto ne = static_cast<std::size_t>(inst.graph.num_edges());
@@ -214,6 +215,7 @@ NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
     followers.graph = inst.graph;
     EquilibriumRequest req;
     req.assignment = opts;
+    req.budget = budget;
     EquilibriumResult induced =
         solve_equilibrium(followers, strategy.preload, req, ws, warm, warm);
     out.status = induced.status;

@@ -92,7 +92,7 @@ const OpTopResult& Evaluation::optop() {
 const MopResult& Evaluation::mop_result() {
   if (!mop_) {
     MopOptions opts;
-    opts.assignment.budget = budget_;
+    opts.budget = budget_;
     if (session_ != nullptr) {
       mop_ = mop(network(), opts, session_->ws, &session_->optimum,
                  &session_->induced);
@@ -258,10 +258,8 @@ double Evaluation::evaluate_baseline(StrategyKind kind, double alpha,
     warm = kind == StrategyKind::kScale ? &session_->scale_induced
                                         : &session_->llf_induced;
   }
-  AssignmentOptions opts;
-  opts.budget = budget_;
   const NetworkStackelbergOutcome out =
-      evaluate_strategy(network(), s, opt_cost, opts, ws(), warm);
+      evaluate_strategy(network(), s, opt_cost, {}, ws(), warm, budget_);
   absorb(out.status);
   return out.cost;
 }

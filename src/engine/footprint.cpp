@@ -17,6 +17,17 @@ std::size_t path_flows_bytes(const std::vector<PathFlow>& paths) {
   return bytes;
 }
 
+std::size_t bush_scratch_bytes(const SolverWorkspace::BushScratch& bw) {
+  std::size_t bytes = vec_bytes(bw.pos) + vec_bytes(bw.dmin) +
+                      vec_bytes(bw.dmax) + vec_bytes(bw.pmin) +
+                      vec_bytes(bw.pmax) + vec_bytes(bw.indeg) +
+                      vec_bytes(bw.queue) + vec_bytes(bw.chain) +
+                      vec_bytes(bw.total_flow) + vec_bytes(bw.seg_max) +
+                      vec_bytes(bw.seg_min) + vec_bytes(bw.state);
+  for (const OriginBush& b : bw.state) bytes += b.footprint_bytes();
+  return bytes;
+}
+
 }  // namespace
 
 std::size_t footprint_bytes(const ParallelLinks& m) {
@@ -48,7 +59,8 @@ std::size_t footprint_bytes(const SolverWorkspace& ws) {
                       vec_bytes(ws.nonzero) + vec_bytes(ws.dists) +
                       vec_bytes(ws.paths) + vec_bytes(ws.path_scratch) +
                       vec_bytes(ws.delta_mask) + vec_bytes(ws.weights) +
-                      vec_bytes(ws.settled_scratch);
+                      vec_bytes(ws.settled_scratch) +
+                      bush_scratch_bytes(ws.bush);
   for (const Path& p : ws.paths) bytes += vec_bytes(p);
   return bytes;
 }

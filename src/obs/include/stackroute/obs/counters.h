@@ -17,7 +17,7 @@
 // Solvers wrap their body in a ScopedCounterDelta: when a sink is
 // installed it reroutes counting into a private struct for the call's
 // duration, letting the solver snapshot its own delta into its result
-// (FrankWolfeResult::counters etc.) before the destructor merges the
+// (EquilibriumResult::counters etc.) before the destructor merges the
 // delta back into the surrounding sink. Nested solves compose: an inner
 // solve's delta merges into the outer solve's delta, which merges into
 // the caller's sink.

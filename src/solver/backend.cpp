@@ -1,9 +1,10 @@
 #include "stackroute/solver/backend.h"
 
-#include <cmath>
 #include <string>
 #include <utility>
 
+#include "backend_runs.h"
+#include "stackroute/obs/trace.h"
 #include "stackroute/util/error.h"
 
 namespace stackroute {
@@ -16,38 +17,48 @@ constexpr EquilibriumBackend kBackends[] = {
     EquilibriumBackend::kBush,
 };
 
-/// Frank–Wolfe's warm contract is proportionality of the commodity split
-/// (see frank_wolfe.h) — a bare edge flow cannot prove it, so the warm
-/// state carries the demand snapshot and this check compares against it.
-bool fw_seed_usable(const EquilibriumWarmState& warm,
-                    const NetworkInstance& inst) {
-  const auto ne = static_cast<std::size_t>(inst.graph.num_edges());
-  if (warm.fw_flow.size() != ne || !(warm.fw_demand > 0.0)) return false;
-  if (warm.fw_demands.size() != inst.commodities.size()) return false;
-  const double ratio = inst.total_demand() / warm.fw_demand;
-  for (std::size_t i = 0; i < inst.commodities.size(); ++i) {
-    const double got = inst.commodities[i].demand;
-    if (std::fabs(got - warm.fw_demands[i] * ratio) >
-        1e-12 * std::fmax(1.0, std::fabs(got))) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// The fields every backend's result shares.
-template <typename BackendResult>
-void take_common(EquilibriumResult& out, BackendResult& r) {
-  out.edge_flow = std::move(r.edge_flow);
-  out.objective = r.objective;
-  out.status = r.status;
-  out.counters = r.counters;
-}
+/// Per backend, in enum order: its run and its trace span name.
+struct BackendEntry {
+  detail::BackendRun run;
+  const char* span;
+};
+constexpr BackendEntry kEntries[] = {
+    {detail::assign_run, "assign_traffic"},
+    {detail::fw_run, "frank_wolfe"},
+    {detail::bush_run, "bush"},
+};
 
 /// The per-commodity demands a warm payload was converged at.
 void snapshot_demands(const NetworkInstance& inst, std::vector<double>& out) {
   out.clear();
   for (const Commodity& com : inst.commodities) out.push_back(com.demand);
+}
+
+/// Hands the converged state of `out` (and, for bush, the live bushes left
+/// in the workspace) to the next solve in the chain.
+void publish(const NetworkInstance& inst, EquilibriumBackend backend,
+             const EquilibriumResult& out, SolverWorkspace& ws,
+             EquilibriumWarmState& warm) {
+  warm.prepare(backend);
+  switch (backend) {
+    case EquilibriumBackend::kPathEqualization:
+      warm.paths.commodity_paths = out.commodity_paths;
+      snapshot_demands(inst, warm.paths.demands);
+      break;
+    case EquilibriumBackend::kFrankWolfe:
+      warm.fw_flow = out.edge_flow;
+      snapshot_demands(inst, warm.fw_demands);
+      break;
+    case EquilibriumBackend::kBush:
+      if (out.status == SolveStatus::kNumericFailure) {
+        warm.clear();  // never republish a poisoned state
+      } else {
+        warm.bush.bushes = std::move(ws.bush.state);
+        warm.bush.commodities = inst.commodities;
+        ws.bush.state.clear();
+      }
+      break;
+  }
 }
 
 }  // namespace
@@ -87,7 +98,6 @@ void EquilibriumWarmState::clear() {
   paths.demands.clear();
   fw_flow.clear();
   fw_demands.clear();
-  fw_demand = 0.0;
   bush.clear();
 }
 
@@ -102,79 +112,41 @@ EquilibriumResult solve_equilibrium(const NetworkInstance& inst,
                                     SolverWorkspace& ws,
                                     const EquilibriumWarmState* warm_in,
                                     EquilibriumWarmState* warm_out) {
-  EquilibriumResult out;
-  switch (req.backend) {
-    case EquilibriumBackend::kPathEqualization: {
-      AssignmentOptions opts = req.assignment;
-      if (req.budget.active()) opts.budget = req.budget;
-      const AssignmentWarmStart* seed = nullptr;
-      if (warm_in != nullptr &&
-          warm_in->backend == EquilibriumBackend::kPathEqualization) {
-        seed = &warm_in->paths;
-      }
-      static const AssignmentWarmStart kCold;
-      AssignmentResult r = assign_traffic(inst, req.objective, preload, opts,
-                                          ws, seed != nullptr ? *seed : kCold);
-      take_common(out, r);
-      out.commodity_paths = std::move(r.commodity_paths);
-      out.spread = r.spread;
-      out.iterations = r.sweeps;
-      if (warm_out != nullptr) {
-        warm_out->prepare(EquilibriumBackend::kPathEqualization);
-        warm_out->paths.commodity_paths = out.commodity_paths;
-        snapshot_demands(inst, warm_out->paths.demands);
-      }
-      break;
-    }
-    case EquilibriumBackend::kFrankWolfe: {
-      FrankWolfeOptions opts = req.frank_wolfe;
-      if (req.budget.active()) opts.budget = req.budget;
-      std::span<const double> seed_flow = {};
-      double seed_demand = 0.0;
-      if (warm_in != nullptr &&
-          warm_in->backend == EquilibriumBackend::kFrankWolfe &&
-          fw_seed_usable(*warm_in, inst)) {
-        seed_flow = warm_in->fw_flow;
-        seed_demand = warm_in->fw_demand;
-      }
-      FrankWolfeResult r = frank_wolfe(inst, req.objective, preload, opts, ws,
-                                       seed_flow, seed_demand);
-      take_common(out, r);
-      out.rel_gap = r.rel_gap;
-      out.iterations = r.iterations;
-      if (warm_out != nullptr) {
-        warm_out->prepare(EquilibriumBackend::kFrankWolfe);
-        warm_out->fw_flow = out.edge_flow;
-        warm_out->fw_demand = inst.total_demand();
-        snapshot_demands(inst, warm_out->fw_demands);
-      }
-      break;
-    }
-    case EquilibriumBackend::kBush: {
-      BushOptions opts = req.bush;
-      if (req.budget.active()) opts.budget = req.budget;
-      static thread_local BushWorkspace tl_bush_ws;  // scratch only; sized on
-                                                     // use, carries no state
-      const BushWarmState* seed = nullptr;
-      if (warm_in != nullptr && warm_in->backend == EquilibriumBackend::kBush) {
-        seed = &warm_in->bush;
-      }
-      BushWarmState* publish = nullptr;
-      if (warm_out != nullptr) {
-        // Retag before the solve: when warm_in aliases warm_out and the tag
-        // already matches, prepare() keeps the payload the solve reads.
-        warm_out->prepare(EquilibriumBackend::kBush);
-        publish = &warm_out->bush;
-      }
-      BushResult r = solve_bush(inst, req.objective, preload, opts, ws,
-                                tl_bush_ws, seed, publish);
-      take_common(out, r);
-      out.rel_gap = r.rel_gap;
-      out.iterations = r.iterations;
-      break;
-    }
+  const BackendEntry& backend = kEntries[static_cast<int>(req.backend)];
+  obs::ScopedCounterDelta tally;
+  obs::ScopedSpan span(backend.span);
+  inst.validate();
+  ws.table.ensure_compiled(effective_latencies(inst.graph, preload));
+
+  // One gate for the whole call: a cold retry after a degraded warm run
+  // inherits whatever deadline is left, not a fresh one.
+  BudgetGate gate(req.budget);
+  const EquilibriumWarmState* seed =
+      warm_in != nullptr && warm_in->backend == req.backend ? warm_in
+                                                            : nullptr;
+  bool used_warm = false;
+  EquilibriumResult out = backend.run(inst, req, gate, ws, seed, used_warm);
+
+  // Warm-start guard: a warm seed that went numerically bad, stalled, or
+  // exhausted its iteration cap without converging gets one cold retry —
+  // the seed, not the instance, is the prime suspect. A deadline hit is
+  // not retried (no time left to retry with).
+  if (used_warm && !solve_ok(out.status) &&
+      out.status != SolveStatus::kDeadlineExceeded) {
+    obs::count(&obs::SolveCounters::warm_fallbacks);
+    out = backend.run(inst, req, gate, ws, nullptr, used_warm);
   }
+
+  if (warm_out != nullptr) publish(inst, req.backend, out, ws, *warm_out);
+  if (tally.active()) out.counters = tally.current();
   return out;
+}
+
+EquilibriumResult solve_equilibrium(const NetworkInstance& inst,
+                                    const EquilibriumRequest& req,
+                                    std::span<const double> preload) {
+  SolverWorkspace ws;
+  return solve_equilibrium(inst, preload, req, ws, nullptr, nullptr);
 }
 
 EquilibriumResult solve_equilibrium(const NetworkInstance& inst,
@@ -182,8 +154,7 @@ EquilibriumResult solve_equilibrium(const NetworkInstance& inst,
                                     std::span<const double> preload) {
   EquilibriumRequest req;
   req.objective = objective;
-  SolverWorkspace ws;
-  return solve_equilibrium(inst, preload, req, ws, nullptr, nullptr);
+  return solve_equilibrium(inst, req, preload);
 }
 
 }  // namespace stackroute

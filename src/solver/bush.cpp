@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "backend_runs.h"
 #include "stackroute/network/dijkstra.h"
 #include "stackroute/obs/trace.h"
 #include "stackroute/util/error.h"
@@ -19,6 +20,8 @@ namespace {
 // close, and far above ulp noise so the bush does not churn on ties.
 constexpr double kAddEps = 1e-12;
 constexpr double kShiftEps = 1e-14;
+
+using BushScratch = SolverWorkspace::BushScratch;
 
 /// Commodities sharing a source, solved as one bush.
 struct OriginGroup {
@@ -140,7 +143,7 @@ std::uint64_t build_initial_bush(const Graph& g, const NetworkInstance& inst,
 /// is restricted to flow-carrying edges (the paths flow can be shifted
 /// off). Labels are only written for nodes in b.order, so the shared
 /// nv-sized scratch needs no full clear between origins.
-void compute_trees(const Graph& g, const OriginBush& b, BushWorkspace& bw,
+void compute_trees(const Graph& g, const OriginBush& b, BushScratch& bw,
                    std::span<const double> costs, bool want_max) {
   const CsrAdjacency& in = g.in_csr();
   for (NodeId v : b.order) {
@@ -176,7 +179,7 @@ void compute_trees(const Graph& g, const OriginBush& b, BushWorkspace& bw,
 /// Recomputes b.order (and bw.pos) with Kahn's algorithm over the current
 /// edge set. Returns false — leaving b.order/bw.pos untouched — when a
 /// cycle is found, which the caller handles by reverting its additions.
-bool kahn_reorder(const Graph& g, OriginBush& b, BushWorkspace& bw) {
+bool kahn_reorder(const Graph& g, OriginBush& b, BushScratch& bw) {
   const auto nv = static_cast<std::size_t>(g.num_nodes());
   const auto ne = static_cast<std::size_t>(g.num_edges());
   const CsrAdjacency& out = g.out_csr();
@@ -230,7 +233,7 @@ bool kahn_reorder(const Graph& g, OriginBush& b, BushWorkspace& bw) {
 /// edge or a node's last in-edge, so every reachable node keeps a path
 /// from the origin), add strictly cost-improving edges, and re-sort.
 /// Returns true when the edge set changed.
-bool improve_bush(const Graph& g, OriginBush& b, BushWorkspace& bw,
+bool improve_bush(const Graph& g, OriginBush& b, BushScratch& bw,
                   std::span<const double> costs) {
   const auto ne = static_cast<std::size_t>(g.num_edges());
   compute_trees(g, b, bw, costs, /*want_max=*/false);
@@ -282,7 +285,7 @@ bool improve_bush(const Graph& g, OriginBush& b, BushWorkspace& bw,
 /// are re-evaluated immediately. Returns true when any flow moved.
 bool equilibrate_pass(const Graph& g, const LatencyTable& table,
                       FlowObjective objective, OriginBush& b,
-                      BushWorkspace& bw, std::span<double> costs,
+                      BushScratch& bw, std::span<double> costs,
                       std::uint64_t& shifts) {
   compute_trees(g, b, bw, costs, /*want_max=*/true);
   bool moved = false;
@@ -409,7 +412,7 @@ bool warm_usable(const NetworkInstance& inst,
 /// bush edges) — the acyclicity certificate that makes a stale payload
 /// fall back instead of corrupting the solve.
 bool warm_bush_consistent(const Graph& g, const OriginBush& b,
-                          BushWorkspace& bw) {
+                          BushScratch& bw) {
   const auto nv = static_cast<std::size_t>(g.num_nodes());
   for (std::size_t v = 0; v < nv; ++v) bw.pos[v] = -1;
   for (std::size_t i = 0; i < b.order.size(); ++i) {
@@ -432,13 +435,19 @@ bool warm_bush_consistent(const Graph& g, const OriginBush& b,
   return true;
 }
 
-/// One bush run (seed + iterate). Publishes its work counters into
-/// whatever sink/delta the caller installed; the public entry point owns
-/// the per-solve delta and the warm-fallback rerun.
-BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
-                    const BushOptions& opts, BudgetGate& gate,
-                    SolverWorkspace& ws, BushWorkspace& bw,
-                    const BushWarmState* warm, bool& used_warm) {
+}  // namespace
+
+/// One bush run (seed + iterate).
+EquilibriumResult detail::bush_run(const NetworkInstance& inst,
+                                   const EquilibriumRequest& req,
+                                   BudgetGate& gate, SolverWorkspace& ws,
+                                   const EquilibriumWarmState* warm_state,
+                                   bool& used_warm) {
+  const BushOptions& opts = req.bush;
+  const FlowObjective objective = req.objective;
+  const BushWarmState* warm =
+      warm_state != nullptr ? &warm_state->bush : nullptr;
+  BushScratch& bw = ws.bush;
   const Graph& g = inst.graph;
   const auto ne = static_cast<std::size_t>(g.num_edges());
   const auto nv = static_cast<std::size_t>(g.num_nodes());
@@ -460,7 +469,7 @@ BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
   ws.costs.resize(ne);
   ws.dists.assign(k, 0.0);
 
-  BushResult result;
+  EquilibriumResult result;
   used_warm = false;
   double ratio = 0.0;
   if (warm != nullptr && !warm->empty()) {
@@ -569,11 +578,11 @@ BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
       result.status = SolveStatus::kNumericFailure;
       break;
     }
-    if (opts.budget.stall_window > 0) {
+    if (gate.budget().stall_window > 0) {
       if (result.rel_gap < best_gap) {
         best_gap = result.rel_gap;
         since_improved = 0;
-      } else if (++since_improved >= opts.budget.stall_window) {
+      } else if (++since_improved >= gate.budget().stall_window) {
         result.status = SolveStatus::kStalled;
         break;
       }
@@ -623,15 +632,9 @@ BushResult bush_run(const NetworkInstance& inst, FlowObjective objective,
   return result;
 }
 
-std::size_t vec_bytes_chars(const std::vector<char>& v) {
-  return v.capacity() * sizeof(char);
-}
-
-}  // namespace
-
 std::size_t OriginBush::footprint_bytes() const {
-  return order.capacity() * sizeof(NodeId) + vec_bytes_chars(in_bush) +
-         flow.capacity() * sizeof(double);
+  return order.capacity() * sizeof(NodeId) +
+         in_bush.capacity() * sizeof(char) + flow.capacity() * sizeof(double);
 }
 
 std::size_t BushWarmState::footprint_bytes() const {
@@ -639,61 +642,6 @@ std::size_t BushWarmState::footprint_bytes() const {
                       commodities.capacity() * sizeof(Commodity);
   for (const OriginBush& b : bushes) total += b.footprint_bytes();
   return total;
-}
-
-BushResult solve_bush(const NetworkInstance& inst, FlowObjective objective,
-                      std::span<const double> preload,
-                      const BushOptions& opts) {
-  SolverWorkspace ws;
-  BushWorkspace bw;
-  return solve_bush(inst, objective, preload, opts, ws, bw);
-}
-
-BushResult solve_bush(const NetworkInstance& inst, FlowObjective objective,
-                      std::span<const double> preload, const BushOptions& opts,
-                      SolverWorkspace& ws, BushWorkspace& bw) {
-  return solve_bush(inst, objective, preload, opts, ws, bw, nullptr, nullptr);
-}
-
-BushResult solve_bush(const NetworkInstance& inst, FlowObjective objective,
-                      std::span<const double> preload, const BushOptions& opts,
-                      SolverWorkspace& ws, BushWorkspace& bw,
-                      const BushWarmState* warm, BushWarmState* warm_out) {
-  obs::ScopedCounterDelta tally;
-  obs::ScopedSpan span("bush");
-  inst.validate();
-  const std::vector<LatencyPtr> lat = effective_latencies(inst.graph, preload);
-  ws.table.ensure_compiled(lat);
-
-  // One gate for the whole call: if the warm run burns the deadline, the
-  // cold fallback below must not get a fresh one.
-  BudgetGate gate(opts.budget);
-  bool used_warm = false;
-  BushResult result =
-      bush_run(inst, objective, opts, gate, ws, bw, warm, used_warm);
-
-  // Warm-start guard, same policy as frank_wolfe: a warm seed that went
-  // numerically bad, stalled, or burned the iteration cap without
-  // converging gets one cold retry; a deadline hit is not retried.
-  if (used_warm && !solve_ok(result.status) &&
-      result.status != SolveStatus::kDeadlineExceeded) {
-    obs::count(&obs::SolveCounters::warm_fallbacks);
-    bool cold_used_warm = false;
-    result =
-        bush_run(inst, objective, opts, gate, ws, bw, nullptr, cold_used_warm);
-  }
-
-  if (warm_out != nullptr) {
-    if (result.status == SolveStatus::kNumericFailure) {
-      warm_out->clear();
-    } else {
-      warm_out->bushes = std::move(bw.state);
-      warm_out->commodities = inst.commodities;
-      bw.state.clear();
-    }
-  }
-  if (tally.active()) result.counters = tally.current();
-  return result;
 }
 
 }  // namespace stackroute

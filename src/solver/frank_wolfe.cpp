@@ -1,8 +1,7 @@
-#include "stackroute/solver/frank_wolfe.h"
-
 #include <algorithm>
 #include <cmath>
 
+#include "backend_runs.h"
 #include "stackroute/network/dijkstra.h"
 #include "stackroute/network/paths.h"
 #include "stackroute/obs/counters.h"
@@ -62,52 +61,60 @@ double all_or_nothing(const NetworkInstance& inst,
   return cost;
 }
 
+/// Frank–Wolfe's warm contract is proportionality of the commodity split
+/// (see frank_wolfe.h) — a bare edge flow cannot prove it, so the warm
+/// state carries the demand snapshot and this check compares against it.
+/// On success `warm_total_demand` is the total the seed was converged at.
+bool fw_seed_usable(const EquilibriumWarmState& warm,
+                    const NetworkInstance& inst, double& warm_total_demand) {
+  const auto ne = static_cast<std::size_t>(inst.graph.num_edges());
+  if (warm.fw_flow.size() != ne) return false;
+  if (warm.fw_demands.size() != inst.commodities.size()) return false;
+  warm_total_demand = 0.0;
+  for (double d : warm.fw_demands) warm_total_demand += d;
+  if (!(warm_total_demand > 0.0)) return false;
+  const double ratio = inst.total_demand() / warm_total_demand;
+  for (std::size_t i = 0; i < inst.commodities.size(); ++i) {
+    const double got = inst.commodities[i].demand;
+    if (std::fabs(got - warm.fw_demands[i] * ratio) >
+        1e-12 * std::fmax(1.0, std::fabs(got))) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
-FrankWolfeResult frank_wolfe(const NetworkInstance& inst,
-                             FlowObjective objective,
-                             std::span<const double> preload,
-                             const FrankWolfeOptions& opts) {
-  SolverWorkspace ws;
-  return frank_wolfe(inst, objective, preload, opts, ws);
-}
-
-FrankWolfeResult frank_wolfe(const NetworkInstance& inst,
-                             FlowObjective objective,
-                             std::span<const double> preload,
-                             const FrankWolfeOptions& opts,
-                             SolverWorkspace& ws) {
-  return frank_wolfe(inst, objective, preload, opts, ws, {}, 0.0);
-}
-
-namespace {
-
-/// One Frank–Wolfe run (seed + iterate). Publishes its work counters into
-/// whatever sink/delta the caller installed; the public entry point owns
-/// the per-solve delta and the warm-fallback rerun.
-FrankWolfeResult fw_run(const NetworkInstance& inst, FlowObjective objective,
-                        const FrankWolfeOptions& opts, BudgetGate& gate,
-                        SolverWorkspace& ws, std::span<const double> warm_flow,
-                        double warm_total_demand, bool& used_warm) {
+/// One Frank–Wolfe run (seed + iterate).
+EquilibriumResult detail::fw_run(const NetworkInstance& inst,
+                                 const EquilibriumRequest& req,
+                                 BudgetGate& gate, SolverWorkspace& ws,
+                                 const EquilibriumWarmState* warm,
+                                 bool& used_warm) {
+  const FrankWolfeOptions& opts = req.frank_wolfe;
+  const FlowObjective objective = req.objective;
+  double warm_total_demand = 0.0;
+  const bool seeded =
+      warm != nullptr && fw_seed_usable(*warm, inst, warm_total_demand);
   const LatencyTable& table = ws.table;
   const auto ne = static_cast<std::size_t>(inst.graph.num_edges());
   ws.costs.resize(ne);
   ws.aon_flow.resize(ne);
   ws.direction.resize(ne);
 
-  FrankWolfeResult result;
+  EquilibriumResult result;
   used_warm = false;
-  const double factor = warm_total_demand > 0.0
-                            ? inst.total_demand() / warm_total_demand
-                            : 0.0;
-  if (!warm_flow.empty()) obs::count(&obs::SolveCounters::warm_attempts);
-  if (warm_flow.size() == ne && factor > 0.0 && std::isfinite(factor)) {
+  const double factor =
+      seeded ? inst.total_demand() / warm_total_demand : 0.0;
+  if (seeded) obs::count(&obs::SolveCounters::warm_attempts);
+  if (factor > 0.0 && std::isfinite(factor)) {
     obs::count(&obs::SolveCounters::warm_hits);
     used_warm = true;
     // Demand-rescaling projection of the prior converged flow.
     result.edge_flow.resize(ne);
     for (std::size_t e = 0; e < ne; ++e) {
-      result.edge_flow[e] = std::fmax(0.0, warm_flow[e] * factor);
+      result.edge_flow[e] = std::fmax(0.0, warm->fw_flow[e] * factor);
     }
   } else {
     // Cold start: AON at empty-network costs.
@@ -154,11 +161,11 @@ FrankWolfeResult fw_run(const NetworkInstance& inst, FlowObjective objective,
       result.status = SolveStatus::kNumericFailure;
       break;
     }
-    if (opts.budget.stall_window > 0) {
+    if (gate.budget().stall_window > 0) {
       if (result.rel_gap < best_gap) {
         best_gap = result.rel_gap;
         since_improved = 0;
-      } else if (++since_improved >= opts.budget.stall_window) {
+      } else if (++since_improved >= gate.budget().stall_window) {
         result.status = SolveStatus::kStalled;
         break;
       }
@@ -257,46 +264,6 @@ FrankWolfeResult fw_run(const NetworkInstance& inst, FlowObjective objective,
   obs::count(&obs::SolveCounters::gap_checks,
              static_cast<std::uint64_t>(result.iterations));
   obs::count(&obs::SolveCounters::fw_line_search_evals, ls_evals);
-  return result;
-}
-
-}  // namespace
-
-FrankWolfeResult frank_wolfe(const NetworkInstance& inst,
-                             FlowObjective objective,
-                             std::span<const double> preload,
-                             const FrankWolfeOptions& opts,
-                             SolverWorkspace& ws,
-                             std::span<const double> warm_flow,
-                             double warm_total_demand) {
-  obs::ScopedCounterDelta tally;
-  obs::ScopedSpan span("frank_wolfe");
-  inst.validate();
-  const std::vector<LatencyPtr> lat =
-      effective_latencies(inst.graph, preload);
-  ws.table.ensure_compiled(lat);
-
-  // One gate for the whole call: if the warm run burns the deadline, the
-  // cold fallback below must not get a fresh one.
-  BudgetGate gate(opts.budget);
-  bool used_warm = false;
-  FrankWolfeResult result = fw_run(inst, objective, opts, gate, ws, warm_flow,
-                                   warm_total_demand, used_warm);
-
-  // Warm-start guard: a warm seed that went numerically bad, stalled, or
-  // burned the iteration cap without converging gets one cold retry — the
-  // seed, not the instance, is the prime suspect. A deadline hit is not
-  // retried (no time left to retry with).
-  if (used_warm && !solve_ok(result.status) &&
-      result.status != SolveStatus::kDeadlineExceeded) {
-    obs::count(&obs::SolveCounters::warm_fallbacks);
-    bool cold_used_warm = false;
-    FrankWolfeResult cold =
-        fw_run(inst, objective, opts, gate, ws, {}, 0.0, cold_used_warm);
-    result = std::move(cold);
-  }
-
-  if (tally.active()) result.counters = tally.current();
   return result;
 }
 

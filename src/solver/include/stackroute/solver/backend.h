@@ -3,10 +3,10 @@
 //
 // Every network solve in the library — MOP's optimum and induced solves,
 // the Leader strategies' follower solves, tolls, the engine's typed
-// requests, sweep metrics, the serve protocol — builds an
-// EquilibriumRequest and calls solve_equilibrium(). The request names the
-// convex program (Nash or optimum) and the backend; a non-empty preload
-// makes it the followers' induced equilibrium. The three backends
+// requests, sweep metrics, the serve protocol, and every test and bench —
+// builds an EquilibriumRequest and calls solve_equilibrium(). The request
+// names the convex program (Nash or optimum) and the backend; a non-empty
+// preload makes it the followers' induced equilibrium. The three backends
 // minimize the same convex program and agree on the equilibrium cost to
 // their tolerances; they differ in what they return and where they are
 // fast:
@@ -20,6 +20,17 @@
 //                      Algorithm B style); reaches 1e-10-and-below gaps on
 //                      city-scale TNTP networks where FW stalls.
 //
+// The backends are private run functions behind solve_equilibrium; their
+// headers (traffic_assignment.h, frank_wolfe.h, bush.h) only hold knobs and
+// warm payloads. solve_equilibrium owns the frame every solve shares:
+// per-solve counter delta, the backend's trace span ("assign_traffic",
+// "frank_wolfe", "bush"), instance validation, latency compilation into
+// the caller's SolverWorkspace (the only scratch a solve uses), one
+// BudgetGate from EquilibriumRequest::budget, the warm run, and a single
+// cold retry when a warm-started run degrades for any reason but the
+// deadline — the retry draws on the same gate, so it never gets a fresh
+// deadline.
+//
 // Warm state is backend-tagged: a session or sweep chain that switches
 // backend drops the other backend's payload instead of feeding, say, FW
 // edge flows to a bush solve (EquilibriumWarmState::prepare).
@@ -32,9 +43,14 @@
 #include <vector>
 
 #include "stackroute/network/instance.h"
+#include "stackroute/network/paths.h"
+#include "stackroute/obs/counters.h"
 #include "stackroute/solver/bush.h"
 #include "stackroute/solver/frank_wolfe.h"
+#include "stackroute/solver/objective.h"
+#include "stackroute/solver/status.h"
 #include "stackroute/solver/traffic_assignment.h"
+#include "stackroute/solver/workspace.h"
 
 namespace stackroute {
 
@@ -60,8 +76,7 @@ const char* equilibrium_backend_names() noexcept;
 EquilibriumBackend parse_equilibrium_backend(std::string_view name);
 
 /// One equilibrium solve, backend-agnostically: which backend, which
-/// convex program, the Leader's preload, per-backend knobs, one shared
-/// budget.
+/// convex program, per-backend knobs, one budget.
 struct EquilibriumRequest {
   EquilibriumBackend backend = EquilibriumBackend::kPathEqualization;
   FlowObjective objective = FlowObjective::kBeckmann;
@@ -69,23 +84,30 @@ struct EquilibriumRequest {
   AssignmentOptions assignment;
   FrankWolfeOptions frank_wolfe;
   BushOptions bush;
-  /// When active, overrides the chosen backend's own opts.budget — the
-  /// engine/sweep layers set deadlines here once, backend-independently.
+  /// The solve's resource limits, whichever backend runs (iteration cap on
+  /// equalization steps / FW iterations / bush iterations, wall-clock
+  /// deadline, opt-in stall detection). Inactive by default; see status.h.
+  /// Pass an armed budget to share one deadline across several solves.
   SolveBudget budget;
 };
 
-/// The uniform result: edge flows plus the honest quality bound in the
-/// backend's native metric (spread for path equalization, relative gap
-/// for FW/bush; the unused one keeps its zero/NaN default).
+/// The one result type of every backend: edge flows plus the honest
+/// quality bound in the backend's native metric (spread for path
+/// equalization, relative gap for FW/bush; the unused one stays 0). A
+/// degraded status means the flows are the best-so-far feasible state with
+/// that bound.
 struct EquilibriumResult {
-  std::vector<double> edge_flow;
+  std::vector<double> edge_flow;  // total over commodities, by EdgeId
   /// Path decomposition — kPathEqualization only (empty otherwise).
   std::vector<std::vector<PathFlow>> commodity_paths;
-  double objective = 0.0;
+  double objective = 0.0;  // Beckmann or total cost, per FlowObjective
   double spread = 0.0;
   double rel_gap = 0.0;
+  /// Outer sweeps (path equalization) or iterations (FW, bush).
   int iterations = 0;
   SolveStatus status = SolveStatus::kConverged;
+  /// This solve's work counters — all zero unless the calling thread had a
+  /// counter sink installed (obs::CountersScope).
   obs::SolveCounters counters;
 };
 
@@ -96,11 +118,11 @@ struct EquilibriumWarmState {
   EquilibriumBackend backend = EquilibriumBackend::kPathEqualization;
   /// kPathEqualization: converged path decomposition + demand snapshot.
   AssignmentWarmStart paths;
-  /// kFrankWolfe: converged edge flow + the demands it routed (the
-  /// proportionality certificate frank_wolfe's projection needs).
+  /// kFrankWolfe: converged edge flow + the per-commodity demands it
+  /// routed (the proportionality certificate FW's projection needs; their
+  /// sum in commodity order is the total demand it was converged at).
   std::vector<double> fw_flow;
   std::vector<double> fw_demands;
-  double fw_demand = 0.0;
   /// kBush: the per-origin bushes.
   BushWarmState bush;
 
@@ -114,15 +136,15 @@ struct EquilibriumWarmState {
   void prepare(EquilibriumBackend next);
 };
 
-/// Solves the requested program with the requested backend, seeding from
-/// `warm_in` when its tag and payload fit (see each backend's warm
-/// contract) and, when `warm_out` is non-null, publishing the converged
-/// state back for the next solve in the chain. `warm_in` and `warm_out`
-/// may alias. With the default backend and an untagged/empty request this
-/// is byte-for-byte the assign_traffic call — the frozen sweep tables rely
-/// on that. With a preload, `edge_flow` is the followers' flow only; the
-/// combined cost C(S+T) is cost(inst, preload + edge_flow) (see
-/// equilibrium/network.h).
+/// Solves the requested program with the requested backend on `ws`,
+/// seeding from `warm_in` when its tag and payload fit (see each backend's
+/// warm contract) and, when `warm_out` is non-null, publishing the
+/// converged state back for the next solve in the chain (path equalization
+/// and FW always publish; bush clears the payload instead on
+/// kNumericFailure). `warm_in` and `warm_out` may alias. With a preload,
+/// `edge_flow` is the followers' flow only; the combined cost C(S+T) is
+/// cost(inst, preload + edge_flow) (see equilibrium/network.h). Throws on
+/// malformed instances.
 EquilibriumResult solve_equilibrium(const NetworkInstance& inst,
                                     std::span<const double> preload,
                                     const EquilibriumRequest& req,
@@ -130,10 +152,16 @@ EquilibriumResult solve_equilibrium(const NetworkInstance& inst,
                                     const EquilibriumWarmState* warm_in,
                                     EquilibriumWarmState* warm_out);
 
-/// Convenience for tests and examples: one cold path-equalization solve
-/// with default options on a private workspace — solve_equilibrium(inst)
-/// for the Nash flow, (inst, FlowObjective::kTotalCost) for the optimum,
-/// (inst, FlowObjective::kBeckmann, preload) for the induced flow.
+/// Convenience for tests, benches and examples: one cold solve of `req` on
+/// a private workspace.
+EquilibriumResult solve_equilibrium(const NetworkInstance& inst,
+                                    const EquilibriumRequest& req,
+                                    std::span<const double> preload = {});
+
+/// Same with default options on the default backend (path equalization) —
+/// solve_equilibrium(inst) for the Nash flow, (inst,
+/// FlowObjective::kTotalCost) for the optimum, (inst,
+/// FlowObjective::kBeckmann, preload) for the induced flow.
 EquilibriumResult solve_equilibrium(
     const NetworkInstance& inst,
     FlowObjective objective = FlowObjective::kBeckmann,

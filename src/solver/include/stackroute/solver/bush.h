@@ -1,4 +1,6 @@
-// Origin-based bush assignment (Dial's Algorithm B / iTAPAS style).
+// Origin-based bush assignment (Dial's Algorithm B / iTAPAS style) — the
+// kBush backend of solve_equilibrium (solver/backend.h), which is its only
+// entry point; this header holds its knobs and its warm-state payload.
 //
 // Groups commodities by origin and maintains, per origin, an acyclic
 // subgraph (a "bush") that carries all of that origin's flow. Each outer
@@ -10,8 +12,10 @@
 // Newton flow shifts from the max-cost to the min-cost path segment below
 // their divergence node. Shifts re-evaluate the touched edge costs
 // immediately, so the method reaches gaps near machine precision where
-// Frank–Wolfe's O(1/k) tail stalls — the reason this backend exists (see
-// solver/backend.h).
+// Frank–Wolfe's O(1/k) tail stalls — the reason this backend exists. For
+// kTotalCost the Newton step slope is 2·ℓ' plus a finite-difference
+// estimate of x·ℓ'' — shifts are clipped and costs re-evaluated, so the
+// fixed point is the equal-marginal flow.
 //
 // Determinism: the shift phase is strictly sequential in origin order and
 // the parallel Dijkstra fan-out only fills per-origin slots that are
@@ -20,14 +24,10 @@
 // solvers honor.
 #pragma once
 
-#include <span>
+#include <cstddef>
 #include <vector>
 
 #include "stackroute/network/instance.h"
-#include "stackroute/obs/counters.h"
-#include "stackroute/solver/objective.h"
-#include "stackroute/solver/status.h"
-#include "stackroute/solver/workspace.h"
 
 namespace stackroute {
 
@@ -41,22 +41,6 @@ struct BushOptions {
   /// Equilibration passes per origin per outer iteration (each pass
   /// rebuilds the min/max trees and shifts once at every unbalanced node).
   int max_inner = 16;
-  /// Resource limits (iteration cap, wall-clock deadline, opt-in stall
-  /// detection on the relative gap). Inactive by default; see status.h.
-  SolveBudget budget;
-};
-
-struct BushResult {
-  std::vector<double> edge_flow;  // total over origins, by EdgeId
-  double objective = 0.0;
-  /// The relative gap actually achieved — the honest quality bound on
-  /// `edge_flow` whether or not the solve converged.
-  double rel_gap = 0.0;
-  int iterations = 0;
-  SolveStatus status = SolveStatus::kConverged;
-  /// This solve's work counters — all zero unless the calling thread had a
-  /// counter sink installed (obs::CountersScope).
-  obs::SolveCounters counters;
 };
 
 /// One origin's bush: a topological order over the nodes it reaches, the
@@ -70,13 +54,16 @@ struct OriginBush {
   [[nodiscard]] std::size_t footprint_bytes() const;
 };
 
-/// Converged state of a prior solve_bush run on the *same* graph and
-/// latencies at (possibly) different demands — the warm-start payload for
-/// chained solves along a sweep axis. Mirrors frank_wolfe's warm contract:
+/// Converged state of a prior bush solve on the *same* graph and latencies
+/// at (possibly) different demands — the warm-start payload for chained
+/// solves along a sweep axis. Bushes and flows are seeded scaled by the
+/// proportional demand ratio. Mirrors the Frank–Wolfe warm contract:
 /// the payload is structurally validated (edge counts, origin set, sinks,
 /// per-commodity demand proportionality against the snapshot below) and an
 /// ill-fitting payload falls back to the cold start, but topology identity
-/// of the graph itself is the caller's unchecked precondition.
+/// of the graph itself is the caller's unchecked precondition. A solve
+/// that ends in kNumericFailure clears the payload instead of publishing,
+/// so a poisoned state never seeds the next solve.
 struct BushWarmState {
   std::vector<OriginBush> bushes;       // ascending by origin
   /// The commodities those bushes routed (endpoints + demands snapshot).
@@ -89,47 +76,5 @@ struct BushWarmState {
   }
   [[nodiscard]] std::size_t footprint_bytes() const;
 };
-
-/// Reusable scratch for the bush hot loops; sized on use, never shrunk,
-/// carries no state between calls (zero-allocation steady state, like
-/// SolverWorkspace).
-struct BushWorkspace {
-  std::vector<std::int32_t> pos;     // node -> position in topo order
-  std::vector<double> dmin;          // min-path cost from origin, per node
-  std::vector<double> dmax;          // max used-path cost from origin
-  std::vector<EdgeId> pmin;          // min-tree parent edge, per node
-  std::vector<EdgeId> pmax;          // max-tree parent edge, per node
-  std::vector<std::int32_t> indeg;   // Kahn in-degrees / bush in-degrees
-  std::vector<NodeId> queue;         // Kahn FIFO scratch
-  std::vector<std::int32_t> depth;   // tree depth scratch (initial order)
-  std::vector<NodeId> chain;         // parent-chase scratch
-  std::vector<double> total_flow;    // summed origin flows, by EdgeId
-  std::vector<EdgeId> seg_max;       // max-segment edges of one shift
-  std::vector<EdgeId> seg_min;       // min-segment edges of one shift
-  std::vector<OriginBush> state;     // the live bushes during a solve
-};
-
-/// Minimizes `objective` over feasible flows of `inst` under the Leader's
-/// edge `preload` (empty = none). For kTotalCost the Newton step slope is
-/// 2·ℓ' plus a finite-difference estimate of x·ℓ'' — shifts are clipped
-/// and costs re-evaluated, so the fixed point is the equal-marginal flow.
-BushResult solve_bush(const NetworkInstance& inst, FlowObjective objective,
-                      std::span<const double> preload = {},
-                      const BushOptions& opts = {});
-
-/// Same, reusing the caller's workspaces across calls (see workspace.h).
-BushResult solve_bush(const NetworkInstance& inst, FlowObjective objective,
-                      std::span<const double> preload, const BushOptions& opts,
-                      SolverWorkspace& ws, BushWorkspace& bw);
-
-/// Warm-started variant: seeds the bushes and flows from `warm` (scaled by
-/// the proportional demand ratio), falling back to the cold start when the
-/// payload does not fit. When `warm_out` is non-null the final bushes are
-/// moved into it for the next solve in the chain (cleared on numeric
-/// failure so a poisoned state is never republished).
-BushResult solve_bush(const NetworkInstance& inst, FlowObjective objective,
-                      std::span<const double> preload, const BushOptions& opts,
-                      SolverWorkspace& ws, BushWorkspace& bw,
-                      const BushWarmState* warm, BushWarmState* warm_out);
 
 }  // namespace stackroute

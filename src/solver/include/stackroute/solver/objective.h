@@ -10,10 +10,10 @@
 // social cost for the optimum. The solvers below only ever interact with
 // the programs through this little vocabulary.
 //
-// Each primitive comes in three shapes: the original vector-returning form
-// over the virtual interface, an out-parameter form (allocation-free), and
-// a LatencyTable form (allocation-free *and* devirtualized — what the
-// solver hot loops use). All three produce bit-identical numbers.
+// The solver hot loops use the LatencyTable forms (allocation-free and
+// devirtualized); objective_value and total_cost also come in a form over
+// the virtual LatencyPtr interface for callers without a compiled table.
+// Both forms produce bit-identical numbers.
 #pragma once
 
 #include <span>
@@ -37,15 +37,7 @@ std::vector<LatencyPtr> effective_latencies(const Graph& g,
 
 /// Per-edge cost used in shortest-path / equilibration steps:
 /// λ_e(f_e) for kBeckmann, λ_e(f_e) + f_e·λ_e'(f_e) for kTotalCost.
-std::vector<double> edge_costs(std::span<const LatencyPtr> lat,
-                               std::span<const double> flow,
-                               FlowObjective objective);
-
-/// Out-parameter form; `out` must match the latency count.
-void edge_costs(std::span<const LatencyPtr> lat, std::span<const double> flow,
-                FlowObjective objective, std::span<double> out);
-
-/// Compiled-kernel form.
+/// `out` must match the latency count.
 void edge_costs(const LatencyTable& lat, std::span<const double> flow,
                 FlowObjective objective, std::span<double> out);
 

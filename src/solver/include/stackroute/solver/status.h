@@ -1,6 +1,6 @@
 // Solve outcome taxonomy and cooperative solve budgets.
 //
-// Every iterative solver in the repo (Frank–Wolfe, path equilibration,
+// Every iterative solver in the repo (the solve_equilibrium backends,
 // water-filling) and every pipeline built on them (MOP, OpTop, strategy
 // evaluation) reports a SolveStatus instead of a bare converged flag, and
 // accepts a SolveBudget that unifies iteration caps with an amortized
@@ -75,9 +75,10 @@ struct SolveBudget {
   }
 
   /// Copy of this budget with `deadline_ms` resolved to an absolute
-  /// `deadline_ns` (now + deadline_ms). Idempotent: an already-armed
-  /// budget (deadline_ns set) is returned unchanged, which is what lets
-  /// pipelines hand one deadline to every sub-solve.
+  /// `deadline_ns` (now + deadline_ms, saturating at INT64_MAX — a deadline
+  /// too far out to represent, or infinite, never fires). Idempotent: an
+  /// already-armed budget (deadline_ns set) is returned unchanged, which is
+  /// what lets pipelines hand one deadline to every sub-solve.
   [[nodiscard]] SolveBudget armed() const;
 };
 

@@ -1,5 +1,7 @@
-// Path-equilibration traffic assignment (the library's primary network
-// solver).
+// Path-equilibration traffic assignment — the kPathEqualization backend of
+// solve_equilibrium (solver/backend.h), which is its only entry point and
+// the library's default; this header holds its knobs and its warm-state
+// payload.
 //
 // Solves the two convex routing programs of objective.h to high accuracy
 // by maintaining, per commodity, an active set of paths and repeatedly
@@ -12,19 +14,16 @@
 //
 // Compared to Frank–Wolfe (frank_wolfe.h) this converges linearly rather
 // than O(1/k) and returns an explicit path decomposition per commodity —
-// which MOP needs anyway. FW is kept as an independent cross-check and
-// ablation baseline.
+// which MOP needs anyway. Its achieved quality bound is the path-cost
+// spread of the last completed sweep (EquilibriumResult::spread); its
+// iteration count is the number of outer sweeps, and the exact
+// equalization steps (one Dijkstra + one bisected pair move each, where
+// the time goes) are reported through the equalization_steps counter.
 #pragma once
 
-#include <span>
 #include <vector>
 
-#include "stackroute/network/instance.h"
 #include "stackroute/network/paths.h"
-#include "stackroute/obs/counters.h"
-#include "stackroute/solver/objective.h"
-#include "stackroute/solver/status.h"
-#include "stackroute/solver/workspace.h"
 
 namespace stackroute {
 
@@ -35,42 +34,20 @@ struct AssignmentOptions {
   int max_sweeps = 2000;
   /// Inner equalization steps per commodity per sweep.
   int max_inner = 200;
-  /// Resource limits (equalization-step cap, wall-clock deadline, opt-in
-  /// stall detection on the per-sweep spread). Inactive by default.
-  SolveBudget budget;
 };
 
-struct AssignmentResult {
-  std::vector<double> edge_flow;  // total over commodities, by EdgeId
-  std::vector<std::vector<PathFlow>> commodity_paths;  // [commodity]
-  double objective = 0.0;  // Beckmann or total cost, per FlowObjective
-  int sweeps = 0;
-  /// Exact equalization steps taken (each = one Dijkstra + one bisected
-  /// pair move) — the solver's cost driver, reported so warm-start wins
-  /// are observable.
-  int steps = 0;
-  /// How the solve ended. A degraded status means the flows/paths are the
-  /// best-so-far feasible state with quality bound `spread`.
-  SolveStatus status = SolveStatus::kConverged;
-  /// The worst path-cost spread measured in the last completed sweep —
-  /// the achieved counterpart of opts.tol (<= tol iff converged).
-  double spread = 0.0;
-  /// This solve's work counters — all zero unless the calling thread had a
-  /// counter sink installed (obs::CountersScope).
-  obs::SolveCounters counters;
-};
-
-/// Solves min objective over feasible flows of `inst`, with the Leader's
-/// edge preload shifting latencies (empty span = no preload). Throws on
-/// malformed instances.
-AssignmentResult assign_traffic(const NetworkInstance& inst,
-                                FlowObjective objective,
-                                std::span<const double> preload = {},
-                                const AssignmentOptions& opts = {});
-
-/// Converged state of a prior assign_traffic run on the *same* graph and
-/// latencies at (possibly) different demands — the warm-start payload for
-/// chained solves along a sweep axis.
+/// Converged state of a prior path-equilibration solve on the *same* graph
+/// and latencies at (possibly) different demands — the warm-start payload
+/// for chained solves along a sweep axis. A non-empty payload seeds each
+/// commodity's active path set with the prior paths, flows scaled per
+/// commodity by r_new/r_old (the demand-rescaling projection; an exact
+/// fix-up on the largest path keeps feasibility bitwise). A payload that
+/// does not fit the instance — commodity count mismatch, non-positive prior
+/// demand, or any path that is not a valid s_i-t_i path of this graph —
+/// falls back to the cold all-or-nothing start, so a stale payload can cost
+/// time but never correctness. Warm and cold runs converge to the same
+/// equilibrium to the tolerance (unique edge flows for strictly increasing
+/// latencies).
 struct AssignmentWarmStart {
   std::vector<std::vector<PathFlow>> commodity_paths;  // [commodity]
   /// The demands those paths carried (one entry per commodity).
@@ -78,22 +55,5 @@ struct AssignmentWarmStart {
 
   [[nodiscard]] bool empty() const { return commodity_paths.empty(); }
 };
-
-/// Same, reusing the caller's workspace across calls (see workspace.h),
-/// optionally warm-started: a non-empty `warm` seeds each commodity's
-/// active path set with the prior paths, flows scaled per commodity by
-/// r_new/r_old (the demand-rescaling projection; an exact fix-up on the
-/// largest path keeps feasibility bitwise). A payload that does not fit
-/// the instance — commodity count mismatch, non-positive prior demand, or
-/// any path that is not a valid s_i-t_i path of this graph — falls back
-/// to the cold all-or-nothing start, so a stale payload can cost time but
-/// never correctness. Warm and cold runs converge to the same equilibrium to
-/// opts.tol (unique edge flows for strictly increasing latencies).
-AssignmentResult assign_traffic(const NetworkInstance& inst,
-                                FlowObjective objective,
-                                std::span<const double> preload,
-                                const AssignmentOptions& opts,
-                                SolverWorkspace& ws,
-                                const AssignmentWarmStart& warm = {});
 
 }  // namespace stackroute

@@ -1,17 +1,20 @@
-// Reusable scratch for the solver hot paths.
+// Reusable scratch for the solver hot paths — the only scratch a solve
+// needs from its caller.
 //
-// frank_wolfe, assign_traffic and water_fill compile their latencies into a
-// LatencyTable and run every inner loop on preallocated buffers from one of
-// these. The workspace-less public overloads create a workspace per call —
-// the *per-iteration* loops are allocation-free either way — while callers
-// that solve repeatedly (OpTop's rounds, MOP's optimum + induced solves,
-// sweep metrics) pass one workspace across calls so even the per-call
-// setup stops allocating once the buffers have grown to the instance size.
+// solve_equilibrium compiles the effective latencies into a LatencyTable
+// and runs every backend's inner loops on preallocated buffers from one of
+// these; water_fill and MOP's tight-subgraph step do the same. The
+// per-iteration loops are allocation-free either way, while callers that
+// solve repeatedly (OpTop's rounds, MOP's optimum + induced solves, sweep
+// chains, engine sessions) pass one workspace across calls so even the
+// per-call setup stops allocating once the buffers have grown to the
+// instance size.
 //
 // Buffers are sized on use and never shrunk; a workspace carries no state
 // between calls beyond capacity (delta_mask is the one exception: it must
 // stay all-zero between equalization steps, which equalize_once maintains
-// by construction).
+// by construction). Fan-outs over the thread pool use thread_local
+// Dijkstra scratch instead, since one workspace is one thread's.
 //
 // The compiled latency table is additionally *reused across calls* when the
 // latency set is pointer-identical to the previous call's (see
@@ -28,6 +31,7 @@
 #include "stackroute/network/dijkstra.h"
 #include "stackroute/network/paths.h"
 #include "stackroute/obs/counters.h"
+#include "stackroute/solver/bush.h"
 
 namespace stackroute {
 
@@ -50,6 +54,24 @@ struct SolverWorkspace {
                                                // settled counts, summed on
                                                // the calling thread after
                                                // parallel fan-outs
+
+  /// Bush backend scratch: per-node labels and trees of the origin being
+  /// improved, the shift segments, and the live bushes of the solve (moved
+  /// out into the warm state when the caller asks for it).
+  struct BushScratch {
+    std::vector<std::int32_t> pos;     // node -> position in topo order
+    std::vector<double> dmin;          // min-path cost from origin, per node
+    std::vector<double> dmax;          // max used-path cost from origin
+    std::vector<EdgeId> pmin;          // min-tree parent edge, per node
+    std::vector<EdgeId> pmax;          // max-tree parent edge, per node
+    std::vector<std::int32_t> indeg;   // Kahn in-degrees / bush in-degrees
+    std::vector<NodeId> queue;         // Kahn FIFO scratch
+    std::vector<NodeId> chain;         // Kahn output order scratch
+    std::vector<double> total_flow;    // summed origin flows, by EdgeId
+    std::vector<EdgeId> seg_max;       // max-segment edges of one shift
+    std::vector<EdgeId> seg_min;       // min-segment edges of one shift
+    std::vector<OriginBush> state;     // the live bushes during a solve
+  } bush;
 
   /// Cumulative solver-work counters of every counted solve run on this
   /// workspace (see obs/counters.h). Collection is opt-in: install the

@@ -24,25 +24,6 @@ std::vector<LatencyPtr> effective_latencies(const Graph& g,
   return lat;
 }
 
-void edge_costs(std::span<const LatencyPtr> lat, std::span<const double> flow,
-                FlowObjective objective, std::span<double> out) {
-  SR_REQUIRE(lat.size() == flow.size() && out.size() == lat.size(),
-             "edge cost size mismatch");
-  parallel_for(lat.size(), [&](std::size_t e) {
-    out[e] = objective == FlowObjective::kBeckmann
-                 ? lat[e]->value(flow[e])
-                 : lat[e]->marginal(flow[e]);
-  });
-}
-
-std::vector<double> edge_costs(std::span<const LatencyPtr> lat,
-                               std::span<const double> flow,
-                               FlowObjective objective) {
-  std::vector<double> costs(lat.size());
-  edge_costs(lat, flow, objective, costs);
-  return costs;
-}
-
 void edge_costs(const LatencyTable& lat, std::span<const double> flow,
                 FlowObjective objective, std::span<double> out) {
   SR_REQUIRE(lat.size() == flow.size() && out.size() == lat.size(),

@@ -1,9 +1,8 @@
-#include "stackroute/solver/traffic_assignment.h"
-
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 
+#include "backend_runs.h"
 #include "stackroute/network/dijkstra.h"
 #include "stackroute/obs/counters.h"
 #include "stackroute/obs/trace.h"
@@ -97,7 +96,7 @@ struct CommodityState {
 // One fault-injection event per call, and every refreshed entry is checked
 // finite: a NaN that slipped into the maintained costs would otherwise
 // poison the next Dijkstra silently (NaN relaxations all compare false).
-// Throws NumericError so assign_traffic can degrade to best-so-far.
+// Throws NumericError so the run can degrade to best-so-far.
 void refresh_costs(const LatencyTable& table, std::span<const double> flow,
                    FlowObjective objective, const Path& path,
                    std::vector<double>& costs) {
@@ -446,33 +445,40 @@ bool seed_from_warm(const NetworkInstance& inst, const LatencyTable& table,
   return true;
 }
 
-// One full equilibration run (seed + sweeps). Publishes its work counters
-// into whatever sink/delta the caller installed; the public entry point
-// owns the per-solve delta and the warm-fallback rerun. A NumericError
-// anywhere in the seed or the sweeps degrades to best-so-far instead of
-// escaping.
-AssignmentResult assign_run(const NetworkInstance& inst,
-                            FlowObjective objective,
-                            const AssignmentOptions& opts, BudgetGate& gate,
-                            SolverWorkspace& ws,
-                            const AssignmentWarmStart& warm, bool& used_warm) {
+}  // namespace
+
+// One full equilibration run (seed + sweeps). A NumericError anywhere in
+// the seed or the sweeps degrades to best-so-far instead of escaping.
+EquilibriumResult detail::assign_run(const NetworkInstance& inst,
+                                     const EquilibriumRequest& req,
+                                     BudgetGate& gate, SolverWorkspace& ws,
+                                     const EquilibriumWarmState* warm_state,
+                                     bool& used_warm) {
+  const AssignmentOptions& opts = req.assignment;
+  const FlowObjective objective = req.objective;
+  const AssignmentWarmStart* warm =
+      warm_state != nullptr && !warm_state->paths.empty() ? &warm_state->paths
+                                                          : nullptr;
   const Graph& g = inst.graph;
   const LatencyTable& table = ws.table;
   const auto ne = static_cast<std::size_t>(g.num_edges());
   const std::size_t k = inst.commodities.size();
 
-  AssignmentResult result;
+  EquilibriumResult result;
   result.edge_flow.assign(ne, 0.0);
   std::vector<CommodityState> states(k);
   ws.costs.resize(ne);
   used_warm = false;
   result.status = SolveStatus::kIterLimit;  // until proven otherwise
   result.spread = kInf;
+  // Exact equalization steps taken (each = one Dijkstra + one bisected
+  // pair move) — where the solver's time goes, published as a counter.
+  int steps = 0;
 
   try {
-    if (!warm.empty()) obs::count(&obs::SolveCounters::warm_attempts);
-    if (!warm.empty() && seed_from_warm(inst, table, objective, warm, states,
-                                        result.edge_flow, ws)) {
+    if (warm != nullptr) obs::count(&obs::SolveCounters::warm_attempts);
+    if (warm != nullptr && seed_from_warm(inst, table, objective, *warm,
+                                          states, result.edge_flow, ws)) {
       obs::count(&obs::SolveCounters::warm_hits);
       used_warm = true;
       require_finite_costs(ws.costs);
@@ -510,7 +516,7 @@ AssignmentResult assign_run(const NetworkInstance& inst,
         for (int inner = 0; inner < opts.max_inner; ++inner) {
           // Each equalization step is one Dijkstra plus one bisected pair
           // move — the natural granularity for the cooperative budget.
-          if (gate.over_iters(result.steps)) {
+          if (gate.over_iters(steps)) {
             result.status = SolveStatus::kIterLimit;
             out_of_budget = true;
             break;
@@ -523,31 +529,31 @@ AssignmentResult assign_run(const NetworkInstance& inst,
           const double s =
               equalize_once(g, inst.commodities[i], table, result.edge_flow,
                             ws.costs, states[i], objective, opts.tol, ws);
-          ++result.steps;
+          ++steps;
           if (inner == 0) spread = std::fmax(spread, s);
           if (s <= opts.tol) break;
         }
       }
       if (out_of_budget) break;
-      result.sweeps = sweep;
+      result.iterations = sweep;
       result.spread = spread;
       if (tracing) {
         // One sample per outer sweep: the spread plays the role of the
         // relative gap, the step count so far is the "step", and the
         // objective is recomputed (read-only; only when tracing).
         obs::record_convergence(
-            sweep, spread, static_cast<double>(result.steps),
+            sweep, spread, static_cast<double>(steps),
             objective_value(table, result.edge_flow, objective));
       }
       if (spread <= opts.tol) {
         result.status = SolveStatus::kConverged;
         break;
       }
-      if (opts.budget.stall_window > 0) {
+      if (gate.budget().stall_window > 0) {
         if (spread < best_spread) {
           best_spread = spread;
           since_improved = 0;
-        } else if (++since_improved >= opts.budget.stall_window) {
+        } else if (++since_improved >= gate.budget().stall_window) {
           result.status = SolveStatus::kStalled;
           break;
         }
@@ -576,55 +582,9 @@ AssignmentResult assign_run(const NetworkInstance& inst,
   }
   result.objective = objective_value(table, result.edge_flow, objective);
   obs::count(&obs::SolveCounters::equalization_steps,
-             static_cast<std::uint64_t>(result.steps));
+             static_cast<std::uint64_t>(steps));
   obs::count(&obs::SolveCounters::gap_checks,
-             static_cast<std::uint64_t>(result.sweeps));
-  return result;
-}
-
-}  // namespace
-
-AssignmentResult assign_traffic(const NetworkInstance& inst,
-                                FlowObjective objective,
-                                std::span<const double> preload,
-                                const AssignmentOptions& opts) {
-  SolverWorkspace ws;
-  return assign_traffic(inst, objective, preload, opts, ws);
-}
-
-AssignmentResult assign_traffic(const NetworkInstance& inst,
-                                FlowObjective objective,
-                                std::span<const double> preload,
-                                const AssignmentOptions& opts,
-                                SolverWorkspace& ws,
-                                const AssignmentWarmStart& warm) {
-  obs::ScopedCounterDelta tally;
-  obs::ScopedSpan span("assign_traffic");
-  inst.validate();
-  const std::vector<LatencyPtr> lat =
-      effective_latencies(inst.graph, preload);
-  ws.table.ensure_compiled(lat);
-
-  // One gate for the whole call: a cold fallback after a degraded warm run
-  // inherits whatever deadline is left, not a fresh one.
-  BudgetGate gate(opts.budget);
-  bool used_warm = false;
-  AssignmentResult result =
-      assign_run(inst, objective, opts, gate, ws, warm, used_warm);
-
-  // Warm-start guard: a warm seed that went numerically bad, stalled, or
-  // exhausted the sweep cap without converging gets one cold retry — the
-  // seed, not the instance, is the prime suspect. A deadline hit is not
-  // retried (no time left to retry with).
-  if (used_warm && !solve_ok(result.status) &&
-      result.status != SolveStatus::kDeadlineExceeded) {
-    obs::count(&obs::SolveCounters::warm_fallbacks);
-    bool cold_used_warm = false;
-    result = assign_run(inst, objective, opts, gate, ws, AssignmentWarmStart{},
-                        cold_used_warm);
-  }
-
-  if (tally.active()) result.counters = tally.current();
+             static_cast<std::uint64_t>(result.iterations));
   return result;
 }
 

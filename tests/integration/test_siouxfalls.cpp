@@ -8,7 +8,7 @@
 #include "stackroute/core/mop.h"
 #include "stackroute/equilibrium/network.h"
 #include "stackroute/io/tntp.h"
-#include "stackroute/solver/frank_wolfe.h"
+#include "stackroute/solver/backend.h"
 #include "stackroute/sweep/scenario.h"
 
 namespace stackroute {
@@ -30,10 +30,12 @@ NetworkInstance sioux_falls(double demand) {
 
 TEST(SiouxFalls, FrankWolfeSolvesNashAndOptimum) {
   const NetworkInstance inst = sioux_falls(10000.0);
-  const FrankWolfeResult nash =
-      frank_wolfe(inst, FlowObjective::kBeckmann);
+  EquilibriumRequest req;
+  req.backend = EquilibriumBackend::kFrankWolfe;
+  const EquilibriumResult nash = solve_equilibrium(inst, req);
   EXPECT_TRUE(solve_ok(nash.status));
-  const FrankWolfeResult opt = frank_wolfe(inst, FlowObjective::kTotalCost);
+  req.objective = FlowObjective::kTotalCost;
+  const EquilibriumResult opt = solve_equilibrium(inst, req);
   EXPECT_TRUE(solve_ok(opt.status));
 
   // Flow conservation at the source: everything leaves node 0.

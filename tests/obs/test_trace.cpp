@@ -16,8 +16,7 @@
 #include "stackroute/obs/counters.h"
 #include "stackroute/obs/profile.h"
 #include "stackroute/obs/trace.h"
-#include "stackroute/solver/frank_wolfe.h"
-#include "stackroute/solver/traffic_assignment.h"
+#include "stackroute/solver/backend.h"
 #include "stackroute/solver/water_filling.h"
 #include "stackroute/solver/workspace.h"
 #include "stackroute/sweep/metrics.h"
@@ -125,27 +124,30 @@ TEST(Counters, SolverResultsSnapshotTheirOwnWork) {
   const NetworkInstance inst = grid_city(rng, 4, 4, 2.0);
 
   // Without a sink the result counters stay all-zero.
-  FrankWolfeOptions fw_opts;
-  fw_opts.max_iters = 10;
-  fw_opts.rel_gap_tol = 0.0;
-  EXPECT_FALSE(frank_wolfe(inst, FlowObjective::kBeckmann, {}, fw_opts)
-                   .counters.any());
+  EquilibriumRequest fw_req;
+  fw_req.backend = EquilibriumBackend::kFrankWolfe;
+  fw_req.frank_wolfe.max_iters = 10;
+  fw_req.frank_wolfe.rel_gap_tol = 0.0;
+  EXPECT_FALSE(solve_equilibrium(inst, fw_req).counters.any());
 
   obs::SolveCounters sink;
   {
     obs::CountersScope scope(sink);
-    const FrankWolfeResult fw =
-        frank_wolfe(inst, FlowObjective::kBeckmann, {}, fw_opts);
+    const EquilibriumResult fw = solve_equilibrium(inst, fw_req);
     EXPECT_EQ(fw.counters.fw_iterations,
               static_cast<std::uint64_t>(fw.iterations));
     EXPECT_GT(fw.counters.dijkstra_calls, 0u);
     EXPECT_GT(fw.counters.dijkstra_settled, 0u);
     EXPECT_GT(fw.counters.fw_line_search_evals, 0u);
 
-    const AssignmentResult eq =
-        assign_traffic(inst, FlowObjective::kBeckmann, {});
+    // The equalization steps the solve snapshots are exactly the ones it
+    // merged into the surrounding sink.
+    const std::uint64_t steps_before = sink.equalization_steps;
+    const EquilibriumResult eq =
+        solve_equilibrium(inst, FlowObjective::kBeckmann);
     EXPECT_EQ(eq.counters.equalization_steps,
-              static_cast<std::uint64_t>(eq.steps));
+              sink.equalization_steps - steps_before);
+    EXPECT_GT(eq.counters.equalization_steps, 0u);
     EXPECT_GT(eq.counters.dijkstra_calls, 0u);
   }
   // Both solves' deltas merged into the sink.
@@ -157,12 +159,13 @@ TEST(Counters, MonotoneInTheIterationBudget) {
   Rng rng(5);
   const NetworkInstance inst = grid_city(rng, 4, 4, 2.0);
   auto run = [&](int iters) {
-    FrankWolfeOptions opts;
-    opts.max_iters = iters;
-    opts.rel_gap_tol = 0.0;
+    EquilibriumRequest req;
+    req.backend = EquilibriumBackend::kFrankWolfe;
+    req.frank_wolfe.max_iters = iters;
+    req.frank_wolfe.rel_gap_tol = 0.0;
     obs::SolveCounters sink;
     obs::CountersScope scope(sink);
-    (void)frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts);
+    (void)solve_equilibrium(inst, req);
     return sink;
   };
   const obs::SolveCounters small = run(5);
@@ -207,23 +210,27 @@ TEST(Counters, AssignmentWarmPayloadAccounting) {
   obs::CountersScope scope(sink);
 
   // Converged state of a real solve is an attempt and a hit.
-  const AssignmentResult first =
-      assign_traffic(inst, FlowObjective::kTotalCost, {}, {}, ws);
-  AssignmentWarmStart warm;
-  warm.commodity_paths = first.commodity_paths;
-  for (const auto& c : inst.commodities) warm.demands.push_back(c.demand);
-  const AssignmentResult rewarmed =
-      assign_traffic(inst, FlowObjective::kTotalCost, {}, {}, ws, warm);
+  EquilibriumRequest req;
+  req.objective = FlowObjective::kTotalCost;
+  const EquilibriumResult first =
+      solve_equilibrium(inst, {}, req, ws, nullptr, nullptr);
+  EquilibriumWarmState warm;
+  warm.paths.commodity_paths = first.commodity_paths;
+  for (const auto& c : inst.commodities) {
+    warm.paths.demands.push_back(c.demand);
+  }
+  const EquilibriumResult rewarmed =
+      solve_equilibrium(inst, {}, req, ws, &warm, nullptr);
   EXPECT_EQ(rewarmed.counters.warm_attempts, 1u);
   EXPECT_EQ(rewarmed.counters.warm_hits, 1u);
 
   // A junk payload (wrong commodity count) is an attempted miss that
   // falls back cold — same answer, hit not counted.
-  AssignmentWarmStart junk;
-  junk.commodity_paths.resize(inst.commodities.size() + 3);
-  junk.demands.assign(inst.commodities.size() + 3, 1.0);
-  const AssignmentResult missed =
-      assign_traffic(inst, FlowObjective::kTotalCost, {}, {}, ws, junk);
+  EquilibriumWarmState junk;
+  junk.paths.commodity_paths.resize(inst.commodities.size() + 3);
+  junk.paths.demands.assign(inst.commodities.size() + 3, 1.0);
+  const EquilibriumResult missed =
+      solve_equilibrium(inst, {}, req, ws, &junk, nullptr);
   EXPECT_EQ(missed.counters.warm_attempts, 1u);
   EXPECT_EQ(missed.counters.warm_hits, 0u);
   EXPECT_NEAR(missed.objective, rewarmed.objective,
@@ -348,11 +355,12 @@ TEST(SolverTracing, SolversEmitSpansAndSamples) {
   {
     obs::TraceScope trace(session);
     obs::ConvergenceScope conv(convergence);
-    (void)assign_traffic(inst, FlowObjective::kBeckmann, {});
-    FrankWolfeOptions opts;
-    opts.max_iters = 5;
-    opts.rel_gap_tol = 0.0;
-    (void)frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts);
+    (void)solve_equilibrium(inst, FlowObjective::kBeckmann);
+    EquilibriumRequest req;
+    req.backend = EquilibriumBackend::kFrankWolfe;
+    req.frank_wolfe.max_iters = 5;
+    req.frank_wolfe.rel_gap_tol = 0.0;
+    (void)solve_equilibrium(inst, req);
   }
   EXPECT_TRUE(session.balanced());
   EXPECT_GT(session.events(), 0u);

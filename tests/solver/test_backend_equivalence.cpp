@@ -4,21 +4,26 @@
 // bitwise — across generator families and seeds. Plus the bush solver's
 // own contracts: warm-vs-cold agreement, honest degraded statuses, and
 // bitwise thread-count invariance (solver level here; the sweep-table
-// level lives in sweep/test_warm_chains-style coverage below).
+// level lives in sweep/test_warm_chains-style coverage below), and the
+// solve frame solve_equilibrium wraps around every backend: budget,
+// deadline, the single cold retry of a degraded warm run, trace spans.
 #include "stackroute/solver/backend.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "stackroute/equilibrium/network.h"
 #include "stackroute/gen/registry.h"
 #include "stackroute/network/generators.h"
 #include "stackroute/obs/counters.h"
-#include "stackroute/solver/bush.h"
+#include "stackroute/obs/trace.h"
 #include "stackroute/sweep/runner.h"
 #include "stackroute/util/error.h"
+#include "stackroute/util/fault.h"
 #include "stackroute/util/numeric.h"
 #include "stackroute/util/parallel.h"
 #include "stackroute/util/rng.h"
@@ -26,8 +31,18 @@
 namespace stackroute {
 namespace {
 
+constexpr EquilibriumBackend kBush = EquilibriumBackend::kBush;
+
 double rel_diff(double a, double b) {
   return std::fabs(a - b) / std::fmax(1.0, std::fmax(std::fabs(a), std::fabs(b)));
+}
+
+EquilibriumRequest request(EquilibriumBackend backend,
+                           FlowObjective objective = FlowObjective::kBeckmann) {
+  EquilibriumRequest req;
+  req.backend = backend;
+  req.objective = objective;
+  return req;
 }
 
 TEST(BackendRegistry, NamesRoundTrip) {
@@ -44,13 +59,14 @@ TEST(BackendRegistry, NamesRoundTrip) {
 
 TEST(Bush, PigouNashAndOptimum) {
   const NetworkInstance inst = to_network(pigou());
-  const BushResult nash = solve_bush(inst, FlowObjective::kBeckmann);
+  const EquilibriumResult nash = solve_equilibrium(inst, request(kBush));
   EXPECT_TRUE(solve_ok(nash.status));
   EXPECT_EQ(nash.status, SolveStatus::kConverged);
   EXPECT_NEAR(nash.edge_flow[0], 1.0, 1e-8);
   EXPECT_NEAR(nash.edge_flow[1], 0.0, 1e-8);
 
-  const BushResult opt = solve_bush(inst, FlowObjective::kTotalCost);
+  const EquilibriumResult opt =
+      solve_equilibrium(inst, request(kBush, FlowObjective::kTotalCost));
   EXPECT_TRUE(solve_ok(opt.status));
   EXPECT_NEAR(opt.edge_flow[0], 0.5, 1e-6);
   EXPECT_NEAR(opt.edge_flow[1], 0.5, 1e-6);
@@ -58,7 +74,7 @@ TEST(Bush, PigouNashAndOptimum) {
 
 TEST(Bush, BraessNashMatchesClosedForm) {
   const NetworkInstance inst = braess_classic();
-  const BushResult r = solve_bush(inst, FlowObjective::kBeckmann);
+  const EquilibriumResult r = solve_equilibrium(inst, request(kBush));
   ASSERT_TRUE(solve_ok(r.status));
   // All flow takes s→v→w→t at Nash; C(N) = 2.
   EXPECT_NEAR(cost(inst, r.edge_flow), 2.0, 1e-7);
@@ -67,9 +83,9 @@ TEST(Bush, BraessNashMatchesClosedForm) {
 TEST(Bush, ReachesTightGapOnMulticommodityGrid) {
   Rng rng(91);
   const NetworkInstance inst = grid_city_multicommodity(rng, 5, 5, 6, 0.5, 2.0);
-  BushOptions opts;
-  opts.rel_gap_tol = 1e-10;
-  const BushResult r = solve_bush(inst, FlowObjective::kBeckmann, {}, opts);
+  EquilibriumRequest req = request(kBush);
+  req.bush.rel_gap_tol = 1e-10;
+  const EquilibriumResult r = solve_equilibrium(inst, req);
   EXPECT_TRUE(solve_ok(r.status)) << "gap " << r.rel_gap << " status "
                            << to_string(r.status);
   EXPECT_LE(r.rel_gap, 1e-10);
@@ -132,9 +148,10 @@ TEST(BackendEquivalence, NashCostAgreesAcrossFamiliesAndSeeds) {
 TEST(BackendEquivalence, OptimumCostAgreesOnGrid) {
   Rng rng(5);
   const NetworkInstance inst = grid_city(rng, 4, 4, 2.5);
-  const auto pe = assign_traffic(inst, FlowObjective::kTotalCost);
+  const auto pe = solve_equilibrium(inst, FlowObjective::kTotalCost);
   ASSERT_TRUE(solve_ok(pe.status));
-  const BushResult bush = solve_bush(inst, FlowObjective::kTotalCost);
+  const EquilibriumResult bush =
+      solve_equilibrium(inst, request(kBush, FlowObjective::kTotalCost));
   ASSERT_TRUE(solve_ok(bush.status));
   EXPECT_LE(rel_diff(cost(inst, pe.edge_flow), cost(inst, bush.edge_flow)),
             1e-6);
@@ -144,30 +161,29 @@ TEST(Bush, WarmMatchesColdAcrossDemandScale) {
   Rng rng(17);
   const NetworkInstance base = grid_city_multicommodity(rng, 4, 5, 5, 0.5, 2.0);
 
+  const EquilibriumRequest req = request(kBush);
   SolverWorkspace ws;
-  BushWorkspace bw;
-  BushWarmState warm;
+  EquilibriumWarmState warm;
   obs::SolveCounters sink;
   obs::CountersScope scope(sink);
 
-  const BushResult first = solve_bush(base, FlowObjective::kBeckmann, {}, {},
-                                      ws, bw, nullptr, &warm);
+  const EquilibriumResult first =
+      solve_equilibrium(base, {}, req, ws, nullptr, &warm);
   ASSERT_TRUE(solve_ok(first.status));
-  ASSERT_FALSE(warm.empty());
+  ASSERT_FALSE(warm.bush.empty());
 
   NetworkInstance scaled = base;
   for (Commodity& com : scaled.commodities) com.demand *= 1.15;
 
   const std::uint64_t hits_before = sink.warm_hits;
-  const BushResult warm_run = solve_bush(scaled, FlowObjective::kBeckmann, {},
-                                         {}, ws, bw, &warm, &warm);
+  const EquilibriumResult warm_run =
+      solve_equilibrium(scaled, {}, req, ws, &warm, &warm);
   ASSERT_TRUE(solve_ok(warm_run.status));
   EXPECT_EQ(sink.warm_hits, hits_before + 1) << "warm payload not accepted";
 
   SolverWorkspace ws_cold;
-  BushWorkspace bw_cold;
-  const BushResult cold_run = solve_bush(scaled, FlowObjective::kBeckmann, {},
-                                         {}, ws_cold, bw_cold, nullptr, nullptr);
+  const EquilibriumResult cold_run =
+      solve_equilibrium(scaled, {}, req, ws_cold, nullptr, nullptr);
   ASSERT_TRUE(solve_ok(cold_run.status));
   EXPECT_LE(rel_diff(cost(scaled, warm_run.edge_flow),
                      cost(scaled, cold_run.edge_flow)),
@@ -181,17 +197,15 @@ TEST(Bush, MismatchedWarmPayloadFallsBackCold) {
   NetworkInstance b = grid_city(rng2, 4, 4, 2.0);
   b.commodities[0].sink = b.commodities[0].sink - 1;  // different endpoints
 
+  const EquilibriumRequest req = request(kBush);
   SolverWorkspace ws;
-  BushWorkspace bw;
-  BushWarmState warm;
-  ASSERT_TRUE(solve_ok(
-      solve_bush(a, FlowObjective::kBeckmann, {}, {}, ws, bw, nullptr, &warm)
-          .status));
+  EquilibriumWarmState warm;
+  ASSERT_TRUE(
+      solve_ok(solve_equilibrium(a, {}, req, ws, nullptr, &warm).status));
 
   obs::SolveCounters sink;
   obs::CountersScope scope(sink);
-  const BushResult r = solve_bush(b, FlowObjective::kBeckmann, {}, {}, ws, bw,
-                                  &warm, nullptr);
+  const EquilibriumResult r = solve_equilibrium(b, {}, req, ws, &warm, nullptr);
   EXPECT_TRUE(solve_ok(r.status));
   EXPECT_EQ(sink.warm_attempts, 1u);
   EXPECT_EQ(sink.warm_hits, 0u);
@@ -203,9 +217,9 @@ TEST(Bush, EdgeFlowBitwiseInvariantAcrossThreadCounts) {
   const int saved = max_threads_setting();
 
   set_max_threads(1);
-  const BushResult serial = solve_bush(inst, FlowObjective::kBeckmann);
+  const EquilibriumResult serial = solve_equilibrium(inst, request(kBush));
   set_max_threads(4);
-  const BushResult parallel = solve_bush(inst, FlowObjective::kBeckmann);
+  const EquilibriumResult parallel = solve_equilibrium(inst, request(kBush));
   set_max_threads(saved);
 
   ASSERT_TRUE(solve_ok(serial.status));
@@ -220,10 +234,10 @@ TEST(Bush, EdgeFlowBitwiseInvariantAcrossThreadCounts) {
 TEST(Bush, HonestIterLimitStatus) {
   Rng rng(3);
   const NetworkInstance inst = grid_city(rng, 4, 4, 3.0);
-  BushOptions opts;
-  opts.max_iters = 1;
-  opts.rel_gap_tol = 0.0;
-  const BushResult r = solve_bush(inst, FlowObjective::kBeckmann, {}, opts);
+  EquilibriumRequest req = request(kBush);
+  req.bush.max_iters = 1;
+  req.bush.rel_gap_tol = 0.0;
+  const EquilibriumResult r = solve_equilibrium(inst, req);
   EXPECT_FALSE(solve_ok(r.status));
   EXPECT_EQ(r.status, SolveStatus::kIterLimit);
   EXPECT_GT(r.rel_gap, 0.0);
@@ -233,10 +247,10 @@ TEST(Bush, HonestIterLimitStatus) {
 TEST(Bush, BudgetDeadlineReportsDeadlineExceeded) {
   Rng rng(3);
   const NetworkInstance inst = grid_city(rng, 5, 5, 3.0);
-  BushOptions opts;
-  opts.rel_gap_tol = 0.0;  // never converges; only the budget can stop it
-  opts.budget.deadline_ms = 1e-3;
-  const BushResult r = solve_bush(inst, FlowObjective::kBeckmann, {}, opts);
+  EquilibriumRequest req = request(kBush);
+  req.bush.rel_gap_tol = 0.0;  // never converges; only the budget can stop it
+  req.budget.deadline_ms = 1e-3;
+  const EquilibriumResult r = solve_equilibrium(inst, req);
   EXPECT_FALSE(solve_ok(r.status));
   EXPECT_EQ(r.status, SolveStatus::kDeadlineExceeded);
 }
@@ -247,7 +261,7 @@ TEST(Bush, CountersReportShiftsAndRebuilds) {
   obs::SolveCounters sink;
   {
     obs::CountersScope scope(sink);
-    const BushResult r = solve_bush(inst, FlowObjective::kBeckmann);
+    const EquilibriumResult r = solve_equilibrium(inst, request(kBush));
     ASSERT_TRUE(solve_ok(r.status));
     EXPECT_GT(r.counters.bush_shifts, 0u);
     EXPECT_GT(r.counters.dijkstra_calls, 0u);
@@ -284,6 +298,119 @@ TEST(BackendWarmState, SwitchingBackendsDropsPayloads) {
   EXPECT_FALSE(warm.paths.empty());
 }
 
+// ---- The solve frame, for every backend ----------------------------------
+
+TEST(SolveFrame, IterationBudgetGivesIterLimitWithHonestBound) {
+  Rng rng(11);
+  const NetworkInstance inst = grid_city(rng, 4, 4, 3.0);
+  for (EquilibriumBackend b : equilibrium_backends()) {
+    EquilibriumRequest req = request(b);
+    req.assignment.tol = 1e-12;
+    req.frank_wolfe.rel_gap_tol = 1e-12;
+    req.bush.rel_gap_tol = 0.0;
+    req.budget.max_iters = 2;
+    const EquilibriumResult r = solve_equilibrium(inst, req);
+    EXPECT_EQ(r.status, SolveStatus::kIterLimit) << to_string(b);
+    // The achieved bound in the backend's native metric is reported, not
+    // the tolerance it missed.
+    const double bound =
+        b == EquilibriumBackend::kPathEqualization ? r.spread : r.rel_gap;
+    EXPECT_GT(bound, 1e-12) << to_string(b);
+    double total = 0.0;
+    for (double f : r.edge_flow) {
+      EXPECT_TRUE(std::isfinite(f)) << to_string(b);
+      total += f;
+    }
+    EXPECT_GT(total, 0.0) << to_string(b);  // best-so-far still routes
+  }
+}
+
+TEST(SolveFrame, PassedDeadlineGivesDeadlineExceeded) {
+  Rng rng(11);
+  const NetworkInstance inst = grid_city(rng, 4, 4, 3.0);
+  for (EquilibriumBackend b : equilibrium_backends()) {
+    EquilibriumRequest req = request(b);
+    req.budget.deadline_ns = 1;  // epoch + 1 ns: long expired
+    const EquilibriumResult r = solve_equilibrium(inst, req);
+    EXPECT_EQ(r.status, SolveStatus::kDeadlineExceeded) << to_string(b);
+    for (double f : r.edge_flow) EXPECT_TRUE(std::isfinite(f)) << to_string(b);
+  }
+}
+
+TEST(SolveFrame, DegradedWarmRunGetsExactlyOneColdRetry) {
+  Rng rng(19);
+  const NetworkInstance base = grid_city(rng, 4, 4, 2.0);
+  NetworkInstance scaled = base;
+  for (Commodity& com : scaled.commodities) com.demand *= 1.1;
+  for (EquilibriumBackend b : equilibrium_backends()) {
+    EquilibriumRequest req = request(b);
+    req.frank_wolfe.rel_gap_tol = 1e-4;
+    SolverWorkspace ws;
+    EquilibriumWarmState warm;
+    ASSERT_TRUE(
+        solve_ok(solve_equilibrium(base, {}, req, ws, nullptr, &warm).status))
+        << to_string(b);
+    SolverWorkspace cold_ws;
+    const EquilibriumResult cold =
+        solve_equilibrium(scaled, {}, req, cold_ws, nullptr, nullptr);
+
+    // The first latency evaluation of the warm run returns NaN: the warm
+    // run degrades, the frame reruns cold once, and the (consumed) fault
+    // leaves the cold rerun clean — bitwise the plain cold solve.
+    fault::TaskFaults tf;
+    tf.latency.push_back({0, false});
+    obs::SolveCounters sink;
+    EquilibriumResult r;
+    {
+      obs::CountersScope counters(sink);
+      fault::FaultScope scope(&tf, 0);
+      r = solve_equilibrium(scaled, {}, req, ws, &warm, nullptr);
+    }
+    EXPECT_EQ(sink.warm_attempts, 1u) << to_string(b);
+    EXPECT_EQ(sink.warm_hits, 1u) << to_string(b);
+    EXPECT_EQ(sink.warm_fallbacks, 1u) << to_string(b);
+    EXPECT_EQ(r.status, cold.status) << to_string(b);
+    EXPECT_EQ(r.iterations, cold.iterations) << to_string(b);
+    ASSERT_EQ(r.edge_flow.size(), cold.edge_flow.size());
+    for (std::size_t e = 0; e < r.edge_flow.size(); ++e) {
+      EXPECT_EQ(r.edge_flow[e], cold.edge_flow[e])
+          << to_string(b) << " edge " << e;
+    }
+
+    // The retry draws on the same gate: a warm run stopped by the
+    // deadline is not retried, since no time is left to retry with.
+    EquilibriumRequest late = req;
+    late.budget.deadline_ns = 1;
+    obs::SolveCounters late_sink;
+    obs::CountersScope counters(late_sink);
+    const EquilibriumResult timed_out =
+        solve_equilibrium(scaled, {}, late, ws, &warm, nullptr);
+    EXPECT_EQ(timed_out.status, SolveStatus::kDeadlineExceeded)
+        << to_string(b);
+    EXPECT_EQ(late_sink.warm_hits, 1u) << to_string(b);
+    EXPECT_EQ(late_sink.warm_fallbacks, 0u) << to_string(b);
+  }
+}
+
+TEST(SolveFrame, TraceCarriesTheBackendSpan) {
+  Rng rng(5);
+  const NetworkInstance inst = grid_city(rng, 3, 3, 1.5);
+  const char* const spans[] = {"assign_traffic", "frank_wolfe", "bush"};
+  for (EquilibriumBackend b : equilibrium_backends()) {
+    obs::TraceSession session;
+    {
+      obs::TraceScope trace(session);
+      (void)solve_equilibrium(inst, request(b));
+    }
+    EXPECT_TRUE(session.balanced()) << to_string(b);
+    std::ostringstream os;
+    session.write_chrome_trace(os);
+    const std::string name =
+        std::string("\"name\":\"") + spans[static_cast<int>(b)] + "\"";
+    EXPECT_NE(os.str().find(name), std::string::npos) << to_string(b);
+  }
+}
+
 // Sweep-table level: a bush-backed demand sweep exports byte-identical
 // tables at 1 and N threads (the same contract the golden pe tables
 // hold), every row converged.
@@ -300,7 +427,8 @@ TEST(BackendSweep, BushTableBitwiseInvariantAcrossThreadCounts) {
   const auto run_at = [&](int threads) {
     const int saved = max_threads_setting();
     set_max_threads(threads);
-    sweep::SweepResult result = sweep::SweepRunner(sweep::SweepOptions{}).run(spec);
+    sweep::SweepResult result =
+        sweep::SweepRunner(sweep::SweepOptions{}).run(spec);
     set_max_threads(saved);
     return result;
   };

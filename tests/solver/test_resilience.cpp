@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -13,9 +15,8 @@
 #include "stackroute/latency/families.h"
 #include "stackroute/network/generators.h"
 #include "stackroute/obs/counters.h"
-#include "stackroute/solver/frank_wolfe.h"
+#include "stackroute/solver/backend.h"
 #include "stackroute/solver/status.h"
-#include "stackroute/solver/traffic_assignment.h"
 #include "stackroute/solver/water_filling.h"
 #include "stackroute/util/fault.h"
 #include "stackroute/util/rng.h"
@@ -63,6 +64,22 @@ TEST(SolveBudget, ArmingIsIdempotent) {
   EXPECT_EQ(armed.armed().deadline_ns, armed.deadline_ns);
 }
 
+TEST(SolveBudget, HugeDeadlinesSaturateInsteadOfOverflowing) {
+  // now + ms * 1e6 overflows int64 for the first value; the last two are
+  // not representable at all. Each must arm to "never", not wrap to a
+  // negative (silently disarmed) or already-past deadline.
+  for (const double ms : {9.22337e12, 1e300, std::stod("inf")}) {
+    SolveBudget b;
+    b.deadline_ms = ms;
+    const SolveBudget armed = b.armed();
+    EXPECT_EQ(armed.deadline_ns, std::numeric_limits<std::int64_t>::max())
+        << ms;
+    EXPECT_TRUE(armed.has_deadline()) << ms;
+    BudgetGate gate(b);
+    EXPECT_FALSE(gate.expired()) << ms;
+  }
+}
+
 TEST(BudgetGate, IterationCapAndDeadline) {
   SolveBudget iters;
   iters.max_iters = 3;
@@ -83,15 +100,16 @@ TEST(FrankWolfe, IterCapDegradesWithHonestGap) {
   // finishes it in one iteration; a congested grid city does not.
   Rng rng(11);
   const NetworkInstance inst = grid_city(rng, 4, 4, 3.0);
-  FrankWolfeOptions opts;
-  opts.rel_gap_tol = 1e-10;
-  opts.step_rule = FwStepRule::kHarmonic;
-  opts.budget.max_iters = 2;
-  const FrankWolfeResult r =
-      frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts);
+  EquilibriumRequest req;
+  req.backend = EquilibriumBackend::kFrankWolfe;
+  req.frank_wolfe.rel_gap_tol = 1e-10;
+  req.frank_wolfe.step_rule = FwStepRule::kHarmonic;
+  req.budget.max_iters = 2;
+  const EquilibriumResult r = solve_equilibrium(inst, req);
   EXPECT_EQ(r.status, SolveStatus::kIterLimit);
   EXPECT_FALSE(solve_ok(r.status));
-  EXPECT_GT(r.rel_gap, opts.rel_gap_tol);  // the honest quality bound
+  // The honest quality bound.
+  EXPECT_GT(r.rel_gap, req.frank_wolfe.rel_gap_tol);
   // Best-so-far flow is still feasible and finite.
   double total = 0.0;
   for (double f : r.edge_flow) {
@@ -103,10 +121,10 @@ TEST(FrankWolfe, IterCapDegradesWithHonestGap) {
 
 TEST(FrankWolfe, ExpiredDeadlineDegradesImmediately) {
   const NetworkInstance inst = braess_classic();
-  FrankWolfeOptions opts;
-  opts.budget.deadline_ns = 1;
-  const FrankWolfeResult r =
-      frank_wolfe(inst, FlowObjective::kBeckmann, {}, opts);
+  EquilibriumRequest req;
+  req.backend = EquilibriumBackend::kFrankWolfe;
+  req.budget.deadline_ns = 1;
+  const EquilibriumResult r = solve_equilibrium(inst, req);
   EXPECT_EQ(r.status, SolveStatus::kDeadlineExceeded);
   EXPECT_FALSE(solve_ok(r.status));
   for (double f : r.edge_flow) EXPECT_TRUE(std::isfinite(f));
@@ -117,14 +135,13 @@ TEST(AssignTraffic, IterCapDegradesWithHonestSpread) {
   // legitimately equilibrate in one.
   Rng rng(11);
   const NetworkInstance inst = grid_city(rng, 4, 4, 3.0);
-  AssignmentOptions opts;
-  opts.tol = 1e-12;
-  opts.budget.max_iters = 1;  // one equalization step, nowhere near done
-  const AssignmentResult r =
-      assign_traffic(inst, FlowObjective::kBeckmann, {}, opts);
+  EquilibriumRequest req;
+  req.assignment.tol = 1e-12;
+  req.budget.max_iters = 1;  // one equalization step, nowhere near done
+  const EquilibriumResult r = solve_equilibrium(inst, req);
   EXPECT_EQ(r.status, SolveStatus::kIterLimit);
   EXPECT_FALSE(solve_ok(r.status));
-  EXPECT_GT(r.spread, opts.tol);
+  EXPECT_GT(r.spread, req.assignment.tol);
   double total = 0.0;
   for (double f : r.edge_flow) {
     EXPECT_TRUE(std::isfinite(f));
@@ -135,7 +152,7 @@ TEST(AssignTraffic, IterCapDegradesWithHonestSpread) {
 
 TEST(AssignTraffic, UnbudgetedRunsMatchPreBudgetBehavior) {
   const NetworkInstance inst = braess_classic();
-  const AssignmentResult r = assign_traffic(inst, FlowObjective::kBeckmann);
+  const EquilibriumResult r = solve_equilibrium(inst, FlowObjective::kBeckmann);
   EXPECT_EQ(r.status, SolveStatus::kConverged);
   EXPECT_TRUE(solve_ok(r.status));
   EXPECT_LE(r.spread, AssignmentOptions{}.tol);

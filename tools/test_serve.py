@@ -148,6 +148,32 @@ def main():
         expect(field in r.get("error", ""), f"hostile-{line_no}-msg", str(r))
     expect(resps[5]["ok"], "hostile-stream-survives", str(resps[5]))
 
+    # --- a deadline past the clock's range (1e300 ms) arms one that never
+    # fires: the solves converge as if unbudgeted, on every backend -------
+    far = "\n".join(
+        json.dumps(
+            {
+                "id": i,
+                "op": "equilibrium",
+                "generate": "grid-bpr",
+                "backend": backend,
+                "deadline_ms": 1e300,
+            }
+        )
+        for i, backend in enumerate(["pe", "fw", "bush"])
+    )
+    far += '\n{"id":3,"op":"mop","generate":"grid-bpr","deadline_ms":1e300}'
+    proc = run(binary, stdin=far)
+    expect(proc.returncode == 0, "far-deadline-exit", f"exit {proc.returncode}")
+    resps = parse_lines(proc.stdout)
+    expect(len(resps) == 4, "far-deadline-count", f"{len(resps)} responses")
+    for r in resps:
+        expect(
+            r["ok"] and r["status"] == "converged",
+            "far-deadline-converged",
+            str(r),
+        )
+
     # --- session cap: the 257th concurrent session is a per-line error;
     # closing one frees a slot --------------------------------------------
     cap_lines = [
