@@ -99,16 +99,16 @@ class SplitProblem {
   }
 
   /// Optimum assignment of `flow` on the suffix.
-  [[nodiscard]] WaterFillingResult suffix_optimum(double flow) const {
+  [[nodiscard]] LinkAssignment suffix_optimum(double flow) const {
     if (suffix_links_.empty() || flow <= 0.0) {
-      WaterFillingResult empty;
+      LinkAssignment empty;
       empty.flows.assign(suffix_links_.size(), 0.0);
       return empty;
     }
     return water_fill(suffix_links_, flow, LevelKind::kMarginalCost);
   }
 
-  [[nodiscard]] double suffix_cost(const WaterFillingResult& wf) const {
+  [[nodiscard]] double suffix_cost(const LinkAssignment& wf) const {
     double total = 0.0;
     for (std::size_t j = 0; j < suffix_links_.size(); ++j) {
       total += wf.flows[j] * suffix_links_[j]->value(wf.flows[j]);
@@ -118,7 +118,7 @@ class SplitProblem {
 
   /// Minimum a-posteriori latency over the suffix (empty links count with
   /// ℓ(0) = b); +inf when there is no suffix.
-  [[nodiscard]] double suffix_min_latency(const WaterFillingResult& wf) const {
+  [[nodiscard]] double suffix_min_latency(const LinkAssignment& wf) const {
     double lo = kInf;
     for (std::size_t j = 0; j < suffix_links_.size(); ++j) {
       lo = std::fmin(lo, suffix_links_[j]->value(wf.flows[j]));
@@ -130,7 +130,7 @@ class SplitProblem {
   /// feasible); increasing in eps.
   [[nodiscard]] double feasibility_gap(double eps, double leader_budget) const {
     const double level = prefix_level(prefix_flow(eps));
-    const WaterFillingResult wf = suffix_optimum(leader_budget - eps);
+    const LinkAssignment wf = suffix_optimum(leader_budget - eps);
     return level - suffix_min_latency(wf);
   }
 
@@ -213,7 +213,7 @@ Thm24Result optimal_strategy_common_slope(const ParallelLinks& m, double alpha,
     best.cost = winner.cost;
     best.strategy.assign(mm, 0.0);
     // Suffix: the Leader's optimum assignment of (budget − eps).
-    const WaterFillingResult suffix =
+    const LinkAssignment suffix =
         prob.suffix_optimum(budget - winner.eps);
     for (std::size_t j = 0; j < suffix.flows.size(); ++j) {
       best.strategy[view.order[winner.prefix + j]] = suffix.flows[j];

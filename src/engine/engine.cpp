@@ -68,12 +68,6 @@ bool Engine::close_session(std::uint64_t id) {
   return true;
 }
 
-SolveSession* Engine::session(std::uint64_t id) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = sessions_.find(id);
-  return it == sessions_.end() ? nullptr : it->second.session.get();
-}
-
 SolveSession* Engine::acquire_session(std::uint64_t id) {
   std::unique_lock<std::mutex> lock(mu_);
   auto it = sessions_.end();
@@ -332,8 +326,8 @@ SolveResponse Engine::solve_on(SolveSession* session,
 
 SolveResponse Engine::solve(const SolveRequest& req) {
   // Every engine solve runs single-threaded on the caller's thread, so a
-  // response is bitwise identical whether it is served alone, in a batch,
-  // or beside other threads' solves.
+  // response is bitwise identical whether it is served alone or beside
+  // other threads' solves.
   const SerialScope serial;
   // Check the cancellation flag once, before any session work: a request
   // whose client gave up while it sat in a queue is answered with a typed
@@ -382,34 +376,6 @@ SolveResponse Engine::solve(const SolveRequest& req) {
   const std::lock_guard<std::mutex> lock(mu_);
   resp.engine_bytes = resident_bytes_locked();
   return resp;
-}
-
-std::vector<SolveResponse> Engine::solve_batch(
-    std::span<const SolveRequest> reqs) {
-  // Shard by session: one group per session (its requests run in
-  // submission order on one thread — the chain discipline), one group per
-  // sessionless request (they are independent).
-  std::vector<std::vector<std::size_t>> groups;
-  std::map<std::uint64_t, std::size_t> group_of;
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    const std::uint64_t sid = reqs[i].session;
-    if (sid == 0) {
-      groups.push_back({i});
-      continue;
-    }
-    const auto [it, fresh] = group_of.emplace(sid, groups.size());
-    if (fresh) groups.emplace_back();
-    groups[it->second].push_back(i);
-  }
-
-  std::vector<SolveResponse> out(reqs.size());
-  parallel_for(
-      groups.size(),
-      [&](std::size_t g) {
-        for (const std::size_t i : groups[g]) out[i] = solve(reqs[i]);
-      },
-      /*grain=*/1);
-  return out;
 }
 
 }  // namespace stackroute::engine

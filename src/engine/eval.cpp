@@ -35,9 +35,7 @@ Evaluation::Evaluation(const Instance& instance, SolveSession* session,
   // this reset, so warm validity flows from the anchor test alone, not
   // from payload provenance.
   warm_ = session_ != nullptr && session_->has_prev &&
-          (policy == WarmPolicy::kPointerIdentity
-               ? chain_compatible(session_->prev_instance, instance_)
-               : warm_compatible(session_->prev_instance, instance_));
+          warm_compatible(session_->prev_instance, instance_, policy);
   if (session_ != nullptr && !warm_) {
     // Count only genuine breaks (an anchor existed and failed the test) —
     // a session's cold first request is not a reset.

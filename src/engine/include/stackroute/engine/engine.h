@@ -1,13 +1,13 @@
-// Engine: the resident solve service underneath the sweep CLI and the
-// serve transport.
+// Engine: the resident solve service underneath the serve transport.
 //
 // An Engine owns what a long-lived solver process needs across requests:
 //
 //   * sessions — persistent SolveSessions (workspace + warm payloads,
 //     see session.h) keyed by id. Consecutive requests in one session
 //     warm-start each other whenever their instances are value-compatible
-//     (warm_compatible in instance.h: requests arrive freshly
-//     deserialized, so pointer identity is useless here).
+//     (warm_compatible(..., WarmPolicy::kValueEquality) in instance.h:
+//     requests arrive freshly deserialized, so pointer identity is useless
+//     here).
 //   * a workspace pool — sessionless (session = 0) requests borrow a
 //     pooled workspace instead of allocating one per request.
 //   * a compiled-LatencyTable cache keyed by the *content hash* of the
@@ -16,15 +16,8 @@
 //     recompiling (hash fast path + full value-equality check, so a
 //     collision can never cause wrong reuse — see instance.h).
 //
-// solve_batch shards requests across the existing thread pool, one group
-// per session (a session's requests run in submission order on one
-// thread, exactly the sweep chain discipline), so responses are
-// deterministic at any thread count.
-//
-// The sweep layer is a thin client: SweepRunner opens one session per
-// warm chain and evaluates its metrics through the same Evaluation type
-// typed requests use, keeping its tables bitwise identical to the
-// pre-engine implementation.
+// solve() is the one way in. Every request runs single-threaded on its
+// caller's thread, so responses are deterministic at any thread count.
 #pragma once
 
 #include <atomic>
@@ -34,7 +27,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -137,10 +129,7 @@ struct EngineOptions {
   /// workspace pool); 0 = unlimited. When a finished solve leaves the
   /// total above budget, pooled spares are dropped and then idle sessions
   /// shed their memory (warm payloads + workspace buffers) LRU-first —
-  /// sessions stay open and correct, they just re-warm from cold. Only
-  /// requests served through solve()/solve_batch() are accounted;
-  /// sessions driven directly via session() (the sweep path) must not
-  /// rely on this budget.
+  /// sessions stay open and correct, they just re-warm from cold.
   std::size_t session_budget_bytes = 0;
   /// Applied to requests whose own budget is inactive.
   SolveBudget default_budget;
@@ -184,29 +173,18 @@ class Engine {
   std::uint64_t open_session();
   /// Destroys a session (its warm state and workspace); false if unknown.
   bool close_session(std::uint64_t id);
-  /// Borrows a session for direct use — the sweep runner's path: it runs
-  /// one chain per session through Evaluation itself. Null if unknown.
-  /// The caller owns the thread discipline (one session, one thread).
-  [[nodiscard]] SolveSession* session(std::uint64_t id);
 
   /// Serves one request, single-threaded on the caller's thread. Never
   /// throws: failures come back as !ok responses and reset the session's
   /// warm state.
   ///
-  /// solve() and solve_batch() may be called from any number of threads
-  /// at once, also beside direct solver calls that use the thread pool
-  /// (util/parallel.h). Responses for a given request sequence per session
-  /// are identical to serial solve() calls. Concurrent calls naming the
-  /// same session id are safe: a session serves one request at a time,
-  /// and contenders queue on it in arrival order.
+  /// solve() may be called from any number of threads at once, also beside
+  /// direct solver calls that use the thread pool (util/parallel.h).
+  /// Responses for a given request sequence per session are identical to
+  /// serial solve() calls. Concurrent calls naming the same session id are
+  /// safe: a session serves one request at a time, and contenders queue on
+  /// it in arrival order.
   SolveResponse solve(const SolveRequest& req);
-
-  /// Serves a batch: requests are grouped by session id (group order =
-  /// first appearance, intra-group order = submission order) and the
-  /// groups run in parallel over the thread pool, each request through
-  /// solve(). Responses line up index-for-index with the requests and are
-  /// bitwise identical at any thread count.
-  std::vector<SolveResponse> solve_batch(std::span<const SolveRequest> reqs);
 
   [[nodiscard]] const EngineOptions& options() const { return opts_; }
   [[nodiscard]] EngineStats stats() const;
@@ -217,8 +195,7 @@ class Engine {
   /// workspace, cold). Assumes exclusive use of the session.
   SolveResponse solve_on(SolveSession* session, const SolveRequest& req);
   /// Seeds `ws.table` for `inst` from the content-hash cache (adopt) or
-  /// compiles and caches. The sweep client never comes through here — its
-  /// chains keep the pointer-identity fast path untouched.
+  /// compiles and caches.
   void prepare_tables(SolverWorkspace& ws, const Instance& inst);
 
   /// Marks the session busy (waiting while another request holds it);

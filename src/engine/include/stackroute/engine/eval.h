@@ -27,14 +27,6 @@ namespace stackroute::engine {
 /// ignores α; SCALE and LLF take it per evaluation.
 enum class StrategyKind { kAloof, kScale, kLlf };
 
-/// Which test decides whether a session's warm state carries over to the
-/// next instance. Pointer identity is the sweep contract (chains hold the
-/// previous instance alive, and identical pointers guarantee identical
-/// compilation, hence bitwise-stable tables). Value equality is the
-/// service contract: requests arrive freshly deserialized, so two
-/// structurally equal instances must still chain.
-enum class WarmPolicy { kPointerIdentity, kValueEquality };
-
 class Evaluation {
  public:
   /// `session` may be null (every solve runs cold on a private workspace).

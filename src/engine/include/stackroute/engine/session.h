@@ -2,9 +2,9 @@
 // the warm state of one sweep chain. A session owns one SolverWorkspace
 // (compiled latency table, Dijkstra/path buffers) plus the converged
 // warm-start payloads of the last request it served, and hands them to
-// the next request whenever the instances are chain-compatible. Confined to one
-// request at a time, hence one thread — the engine serializes a session's
-// requests and shards only across sessions.
+// the next request whenever the instances are warm-compatible. Confined to
+// one request at a time, hence one thread: the engine serializes a
+// session's requests, and a sweep chain owns its session outright.
 #pragma once
 
 #include "stackroute/core/optop.h"
@@ -18,8 +18,8 @@ namespace stackroute::engine {
 struct SolveSession {
   SolverWorkspace ws;
   bool has_prev = false;
-  /// The previous request's instance — kept alive so chain_compatible's
-  /// pointer-identity test is sound (and warm_compatible has an anchor).
+  /// The previous request's instance: warm_compatible's anchor, kept
+  /// alive so its pointer-identity policy is sound.
   Instance prev_instance;
   /// Converged equilibrium warm state, one per chained solve role, each
   /// passed in and out of solve_equilibrium (see solver/backend.h). The

@@ -1,40 +1,10 @@
 #include "stackroute/engine/instance.h"
 
+#include <algorithm>
+
 #include "stackroute/latency/families.h"
 
 namespace stackroute::engine {
-
-bool chain_compatible(const Instance& prev, const Instance& cur) {
-  if (prev.index() != cur.index()) return false;
-  if (const auto* a = std::get_if<ParallelLinks>(&prev)) {
-    const auto& b = std::get<ParallelLinks>(cur);
-    // shared_ptr operator== is pointer identity — exactly the test wanted.
-    return a->links == b.links;
-  }
-  const auto& a = std::get<NetworkInstance>(prev);
-  const auto& b = std::get<NetworkInstance>(cur);
-  const Graph& ga = a.graph;
-  const Graph& gb = b.graph;
-  if (ga.num_nodes() != gb.num_nodes() || ga.num_edges() != gb.num_edges()) {
-    return false;
-  }
-  for (EdgeId e = 0; e < ga.num_edges(); ++e) {
-    const Edge& ea = ga.edge(e);
-    const Edge& eb = gb.edge(e);
-    if (ea.tail != eb.tail || ea.head != eb.head ||
-        ea.latency != eb.latency) {
-      return false;
-    }
-  }
-  if (a.commodities.size() != b.commodities.size()) return false;
-  for (std::size_t i = 0; i < a.commodities.size(); ++i) {
-    if (a.commodities[i].source != b.commodities[i].source ||
-        a.commodities[i].sink != b.commodities[i].sink) {
-      return false;
-    }
-  }
-  return true;
-}
 
 namespace {
 
@@ -74,15 +44,18 @@ bool latency_equal(const LatencyFunction& a, const LatencyFunction& b) {
   return ba == nullptr || latency_equal(*ba, *bb);
 }
 
-bool warm_compatible(const Instance& prev, const Instance& cur) {
+bool warm_compatible(const Instance& prev, const Instance& cur,
+                     WarmPolicy policy) {
+  const auto same = [policy](const LatencyPtr& a, const LatencyPtr& b) {
+    // shared_ptr operator== is pointer identity.
+    return policy == WarmPolicy::kPointerIdentity ? a == b
+                                                  : latency_equal(*a, *b);
+  };
   if (prev.index() != cur.index()) return false;
   if (const auto* a = std::get_if<ParallelLinks>(&prev)) {
     const auto& b = std::get<ParallelLinks>(cur);
-    if (a->links.size() != b.links.size()) return false;
-    for (std::size_t i = 0; i < a->links.size(); ++i) {
-      if (!latency_equal(*a->links[i], *b.links[i])) return false;
-    }
-    return true;
+    return std::equal(a->links.begin(), a->links.end(), b.links.begin(),
+                      b.links.end(), same);
   }
   const auto& a = std::get<NetworkInstance>(prev);
   const auto& b = std::get<NetworkInstance>(cur);
@@ -95,7 +68,7 @@ bool warm_compatible(const Instance& prev, const Instance& cur) {
     const Edge& ea = ga.edge(e);
     const Edge& eb = gb.edge(e);
     if (ea.tail != eb.tail || ea.head != eb.head ||
-        !latency_equal(*ea.latency, *eb.latency)) {
+        !same(ea.latency, eb.latency)) {
       return false;
     }
   }

@@ -3,7 +3,6 @@
 // of the paper are stated in terms of.
 #pragma once
 
-#include <limits>
 #include <span>
 #include <vector>
 
@@ -12,35 +11,11 @@
 
 namespace stackroute {
 
-/// The cold-start level hint (any non-finite hint means cold).
-inline constexpr double kNoLevelHint =
-    std::numeric_limits<double>::quiet_NaN();
-
-struct LinkAssignment {
-  std::vector<double> flows;
-  /// Common latency (Nash) or common marginal cost (optimum) of the loaded
-  /// links; empty links sit at or above it.
-  double level = 0.0;
-  bool constant_plateau = false;
-  /// How the underlying water-filling solve ended (see solver/status.h).
-  SolveStatus status = SolveStatus::kConverged;
-  /// demand - S(level) of the underlying solve: the honest miss on a
-  /// degraded assignment (~0 when converged).
-  double supply_gap = 0.0;
-};
-
-// Every solve below takes the same trailing knobs, all optional:
-//   tol         water-filling tolerance on the level;
-//   ws          workspace reused across solves (null = a private one; see
-//               solver/workspace.h) — OpTop's round recursion and the
-//               engine's sessions pass theirs;
-//   level_hint  the converged level of the same system at a nearby demand
-//               (NaN = cold; see water_filling.h — a hint steers the root
-//               bracket only, any hint yields the cold answer to `tol`);
-//   budget      see SolveBudget in solver/status.h: a budget hit or
-//               numeric failure degrades the result (status/supply_gap)
-//               instead of throwing. Pass an armed budget to share one
-//               deadline across a pipeline.
+// Every solve below is one water_fill (solver/water_filling.h, which also
+// defines LinkAssignment) and takes its trailing knobs, all optional: tol,
+// ws (OpTop's round recursion and the engine's sessions pass theirs),
+// level_hint and budget. Pass an armed budget to share one deadline across
+// a pipeline.
 
 /// The Nash assignment N of (M, r): unique for strictly increasing
 /// latencies; with constant links, unique up to the cost-invariant split

@@ -11,25 +11,6 @@ namespace stackroute {
 
 namespace {
 
-/// One water-filling solve as a LinkAssignment, on `ws` when given and on
-/// a private workspace otherwise.
-LinkAssignment water_fill_links(std::span<const LatencyPtr> links,
-                                double demand, LevelKind kind, double tol,
-                                SolverWorkspace* ws, double level_hint,
-                                const SolveBudget& budget) {
-  SolverWorkspace own;
-  WaterFillingResult wf = water_fill(links, demand, kind, tol,
-                                     ws != nullptr ? *ws : own, level_hint,
-                                     budget);
-  LinkAssignment out;
-  out.flows = std::move(wf.flows);
-  out.level = wf.level;
-  out.constant_plateau = wf.constant_plateau;
-  out.status = wf.status;
-  out.supply_gap = wf.supply_gap;
-  return out;
-}
-
 std::vector<LatencyPtr> shifted_links(const ParallelLinks& m,
                                       std::span<const double> preload) {
   SR_REQUIRE(preload.size() == m.size(),
@@ -51,16 +32,16 @@ LinkAssignment solve_nash(const ParallelLinks& m, double tol,
                           SolverWorkspace* ws, double level_hint,
                           const SolveBudget& budget) {
   m.validate();
-  return water_fill_links(m.links, m.demand, LevelKind::kLatency, tol, ws,
-                          level_hint, budget);
+  return water_fill(m.links, m.demand, LevelKind::kLatency, tol, ws,
+                    level_hint, budget);
 }
 
 LinkAssignment solve_optimum(const ParallelLinks& m, double tol,
                              SolverWorkspace* ws, double level_hint,
                              const SolveBudget& budget) {
   m.validate();
-  return water_fill_links(m.links, m.demand, LevelKind::kMarginalCost, tol,
-                          ws, level_hint, budget);
+  return water_fill(m.links, m.demand, LevelKind::kMarginalCost, tol, ws,
+                    level_hint, budget);
 }
 
 LinkAssignment solve_induced(const ParallelLinks& m,
@@ -73,8 +54,8 @@ LinkAssignment solve_induced(const ParallelLinks& m,
   SR_REQUIRE(controlled <= m.demand + 1e-9 * std::fmax(1.0, m.demand),
              "Leader preload exceeds total demand");
   const double rest = std::fmax(0.0, m.demand - controlled);
-  return water_fill_links(links, rest, LevelKind::kLatency, tol, ws,
-                          level_hint, budget);
+  return water_fill(links, rest, LevelKind::kLatency, tol, ws, level_hint,
+                    budget);
 }
 
 double cost(const ParallelLinks& m, std::span<const double> flows) {

@@ -27,8 +27,8 @@
 // The workers call Engine::solve, which runs each solve single-threaded
 // on the worker, so all parallelism comes from the worker pool. The
 // workers are std::threads of their own, not util/parallel.h pool tasks:
-// they block on queues rather than split data. Other Engine::solve()/
-// solve_batch() callers in the process run alongside them.
+// they block on queues rather than split data. Other Engine::solve()
+// callers in the process run alongside them.
 //
 // Thread model: submit_line / next_response / finish_client /
 // abort_client are safe from any thread; a client's lines must be

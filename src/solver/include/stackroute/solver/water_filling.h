@@ -17,6 +17,7 @@
 // links yields the same cost and the same level.
 #pragma once
 
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -31,11 +32,16 @@ enum class LevelKind {
   kMarginalCost,  // level = common marginal -> optimum assignment
 };
 
-struct WaterFillingResult {
+/// The cold-start level hint (any non-finite hint means cold).
+inline constexpr double kNoLevelHint =
+    std::numeric_limits<double>::quiet_NaN();
+
+struct LinkAssignment {
   std::vector<double> flows;
-  /// The common level: every loaded link sits exactly at it, every empty
-  /// link's at-zero value is >= it. For demand == 0 this is the smallest
-  /// at-zero value over all links.
+  /// The common level — latency (Nash) or marginal cost (optimum): every
+  /// loaded link sits exactly at it, every empty link's at-zero value is
+  /// >= it. For demand == 0 this is the smallest at-zero value over all
+  /// links.
   double level = 0.0;
   /// True when the level is pinned by constant-latency links absorbing the
   /// residual flow.
@@ -50,38 +56,34 @@ struct WaterFillingResult {
 };
 
 /// Solves S(L) = demand as described above. Throws if demand is negative,
-/// no links are given, or the demand exceeds total capacity.
-WaterFillingResult water_fill(std::span<const LatencyPtr> links, double demand,
-                              LevelKind kind, double tol = 1e-13);
-
-/// Same, reusing the caller's workspace across calls (see workspace.h):
-/// the links compile into ws.table once per call (skipped when the link
-/// set is pointer-identical to the previous call's), and every S(L)
-/// evaluation inside the bisection runs on the flat kernel.
-WaterFillingResult water_fill(std::span<const LatencyPtr> links, double demand,
-                              LevelKind kind, double tol,
-                              SolverWorkspace& ws);
-
-/// Warm-started variant: `level_hint` is a guess at the common level —
-/// typically the converged level of the same system at a nearby demand.
-/// The solver brackets the root by expanding geometrically from the hint
-/// and refines with safeguarded false position instead of bisecting the
-/// full cold bracket, cutting the S(L) evaluation count severalfold on
-/// dense demand sweeps. Any non-finite or out-of-range hint falls back to
-/// the cold path; the result agrees with the cold solve to `tol` either
-/// way (warm and cold brackets both isolate the same root of the same
-/// monotone function).
-WaterFillingResult water_fill(std::span<const LatencyPtr> links, double demand,
-                              LevelKind kind, double tol, SolverWorkspace& ws,
-                              double level_hint);
-
-/// Budgeted variant. `budget.max_iters` caps the number of S(L) supply
-/// evaluations; the deadline is polled once per evaluation. A budget hit
-/// or a non-finite supply value degrades the result (status + supply_gap)
-/// instead of throwing; a non-finite probe at the warm hint falls back to
-/// the cold bracket (counted as a warm_fallback) before degrading.
-WaterFillingResult water_fill(std::span<const LatencyPtr> links, double demand,
-                              LevelKind kind, double tol, SolverWorkspace& ws,
-                              double level_hint, const SolveBudget& budget);
+/// no links are given, or the demand exceeds total capacity. The trailing
+/// knobs are all optional:
+///   tol         tolerance on the level;
+///   ws          workspace reused across calls (null = a private one; see
+///               workspace.h): the links compile into ws->table once per
+///               call (skipped when the link set is pointer-identical to
+///               the previous call's), and every S(L) evaluation runs on
+///               the flat kernel;
+///   level_hint  a guess at the common level — typically the converged
+///               level of the same system at a nearby demand. The solver
+///               then brackets the root by expanding geometrically from
+///               the hint and refines with safeguarded false position
+///               instead of bisecting the full cold bracket, cutting the
+///               S(L) evaluation count severalfold on dense demand sweeps.
+///               Any non-finite or out-of-range hint falls back to the cold
+///               path; the result agrees with the cold solve to `tol`
+///               either way (both brackets isolate the same root of the
+///               same monotone function);
+///   budget      `max_iters` caps the number of S(L) evaluations; the
+///               deadline is polled once per evaluation. A budget hit or a
+///               non-finite supply value degrades the result (status +
+///               supply_gap) instead of throwing; a non-finite probe at the
+///               warm hint falls back to the cold bracket (counted as a
+///               warm_fallback) before degrading.
+LinkAssignment water_fill(std::span<const LatencyPtr> links, double demand,
+                          LevelKind kind, double tol = 1e-13,
+                          SolverWorkspace* ws = nullptr,
+                          double level_hint = kNoLevelHint,
+                          const SolveBudget& budget = {});
 
 }  // namespace stackroute

@@ -24,28 +24,11 @@ struct SupplyInterrupt {
 };
 }  // namespace
 
-WaterFillingResult water_fill(std::span<const LatencyPtr> links, double demand,
-                              LevelKind kind, double tol) {
-  SolverWorkspace ws;
-  return water_fill(links, demand, kind, tol, ws);
-}
-
-WaterFillingResult water_fill(std::span<const LatencyPtr> links, double demand,
-                              LevelKind kind, double tol,
-                              SolverWorkspace& ws) {
-  return water_fill(links, demand, kind, tol, ws,
-                    std::numeric_limits<double>::quiet_NaN());
-}
-
-WaterFillingResult water_fill(std::span<const LatencyPtr> links, double demand,
-                              LevelKind kind, double tol, SolverWorkspace& ws,
-                              double level_hint) {
-  return water_fill(links, demand, kind, tol, ws, level_hint, SolveBudget{});
-}
-
-WaterFillingResult water_fill(std::span<const LatencyPtr> links, double demand,
-                              LevelKind kind, double tol, SolverWorkspace& ws,
-                              double level_hint, const SolveBudget& budget) {
+LinkAssignment water_fill(std::span<const LatencyPtr> links, double demand,
+                          LevelKind kind, double tol, SolverWorkspace* ws,
+                          double level_hint, const SolveBudget& budget) {
+  SolverWorkspace own;
+  if (ws == nullptr) ws = &own;
   obs::ScopedSpan span("water_fill");
   SR_REQUIRE(!links.empty(), "water_fill needs >= 1 link");
   SR_REQUIRE(demand >= 0.0 && std::isfinite(demand),
@@ -54,8 +37,8 @@ WaterFillingResult water_fill(std::span<const LatencyPtr> links, double demand,
   for (const auto& link : links) {
     SR_REQUIRE(link != nullptr, "water_fill got a null link");
   }
-  ws.table.ensure_compiled(links);
-  const LatencyTable& table = ws.table;
+  ws->table.ensure_compiled(links);
+  const LatencyTable& table = ws->table;
 
   const auto level_at_zero = [&](std::size_t i) {
     return kind == LevelKind::kLatency ? table.value(i, 0.0)
@@ -84,7 +67,7 @@ WaterFillingResult water_fill(std::span<const LatencyPtr> links, double demand,
                "water_fill: demand exceeds total link capacity");
   }
 
-  WaterFillingResult result;
+  LinkAssignment result;
   result.flows.assign(m, 0.0);
 
   // Smallest level at which constant links start absorbing flow, and the
@@ -267,18 +250,18 @@ WaterFillingResult water_fill(std::span<const LatencyPtr> links, double demand,
     }
   } else if (residual != 0.0) {
     // dx/dL of link i at its current flow; links pinned at zero get none.
-    ws.weights.assign(m, 0.0);
+    ws->weights.assign(m, 0.0);
     double total_weight = 0.0;
     for (std::size_t i = 0; i < m; ++i) {
       if (table.is_constant(i) || result.flows[i] <= 0.0) continue;
       const double d = table.derivative(i, result.flows[i]);
-      ws.weights[i] = d > 0.0 ? 1.0 / d : 0.0;
-      total_weight += ws.weights[i];
+      ws->weights[i] = d > 0.0 ? 1.0 / d : 0.0;
+      total_weight += ws->weights[i];
     }
     if (total_weight > 0.0) {
       for (std::size_t i = 0; i < m; ++i) {
         result.flows[i] = std::fmax(
-            0.0, result.flows[i] + residual * ws.weights[i] / total_weight);
+            0.0, result.flows[i] + residual * ws->weights[i] / total_weight);
       }
     }
   }

@@ -10,8 +10,9 @@
 // metrics are plain lambdas; the builtin ones dispatch on the instance
 // shape: β via op_top on parallel links and mop on networks, C(N)/C(O)/
 // C(S+T) from the cached results, and solver round counts. The instance
-// variant (engine::Instance), the chain-compatibility test and the
-// warm-chain state (engine::SolveSession) live in the engine layer.
+// variant (engine::Instance), the warm-compatibility test
+// (engine::warm_compatible) and the warm-chain state (engine::SolveSession)
+// live in the engine layer; the runner owns one session per chain.
 #pragma once
 
 #include <any>
@@ -36,8 +37,9 @@ class TaskEval {
       : TaskEval(point, instance, nullptr) {}
 
   /// Chained variant: solves run on `chain`'s workspace, warm-started from
-  /// the previous task's converged state whenever engine::chain_compatible
-  /// holds (otherwise the payloads are reset and this task solves cold).
+  /// the previous task's converged state whenever engine::warm_compatible
+  /// holds under WarmPolicy::kPointerIdentity (otherwise the payloads are
+  /// reset and this task solves cold).
   /// The runner calls finish_chain() after the metrics to publish this
   /// task's instance as the next task's warm anchor.
   TaskEval(const ParamPoint& point, const engine::Instance& instance,

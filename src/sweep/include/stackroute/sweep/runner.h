@@ -6,13 +6,13 @@
 // typically "demand") and warm-starting is enabled, the grid decomposes
 // into chains — sequences of tasks varying only along that axis, all other
 // parameters fixed. Chains, not tasks, are the unit of parallel
-// scheduling; each chain is an engine::Engine session carrying one
-// persistent SolverWorkspace (compiled latency table, Dijkstra/path
-// buffers) and threads the previous point's converged solver state into
-// the next point's solves (see SolveSession in engine/session.h and
-// chain_compatible in engine/instance.h — the runner is a thin client of
-// the engine layer). Without a warm axis — or with warm_start off — every
-// task is its own chain, which is exactly the pre-chain behavior.
+// scheduling; each chain owns one engine::SolveSession for exactly its
+// lifetime, carrying one persistent SolverWorkspace (compiled latency
+// table, Dijkstra/path buffers) and threading the previous point's
+// converged solver state into the next point's solves (see
+// engine/session.h, and warm_compatible(..., WarmPolicy::kPointerIdentity)
+// in engine/instance.h). Without a warm axis — or with warm_start off —
+// every task is its own chain, which is exactly the pre-chain behavior.
 //
 // Determinism contract: the metric values in a SweepResult — and therefore
 // to_markdown()/to_csv()/to_json() — are bitwise identical at any thread
@@ -136,6 +136,8 @@ struct SweepResult {
   std::vector<TaskRecord> records;
   int digits = 6;
   double total_millis = 0.0;
+  /// Threads the chains ran on: min(max_threads(), chains), 1 for a
+  /// single chain.
   int threads = 1;
   /// Number of chains the grid decomposed into (== num_tasks() when no
   /// warm axis applied), and the axis used (empty when none did).

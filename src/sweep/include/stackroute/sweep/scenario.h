@@ -40,7 +40,7 @@ struct ScenarioSpec {
   /// Grid axis along which adjacent tasks form warm-start chains (see
   /// runner.h); typically "demand". Empty — or naming an axis the grid
   /// lacks — means every task is its own cold chain. Declaring a warm axis
-  /// is always safe: tasks whose instances are not chain_compatible (e.g.
+  /// is always safe: tasks whose instances are not warm-compatible (e.g.
   /// a fresh random topology per point) simply solve cold within their
   /// chain, and the result table stays bitwise thread-count independent
   /// either way.

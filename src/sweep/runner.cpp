@@ -7,7 +7,7 @@
 #include <sstream>
 #include <utility>
 
-#include "stackroute/engine/engine.h"
+#include "stackroute/engine/session.h"
 #include "stackroute/obs/profile.h"
 #include "stackroute/obs/timing.h"
 #include "stackroute/util/error.h"
@@ -283,22 +283,11 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec,
     }
   }
 
-  // A single chain never opens the fan-out below; report what it runs on.
-  result.threads = layout.chains < 2 ? 1 : max_threads();
-
-  // The runner is a thin client of the engine: every chain is an engine
-  // session (workspace + warm payloads), opened up front so the chain
-  // lambda below is allocation-order independent. The engine's typed
-  // request path is bypassed — metrics are arbitrary lambdas over
-  // TaskEval — but the state the tasks hand forward is exactly the state
-  // a service request stream would reuse, through the same
-  // engine::Evaluation.
-  engine::Engine eng;
-  std::vector<std::uint64_t> session_ids;
-  session_ids.reserve(layout.chains);
-  for (std::size_t c = 0; c < layout.chains; ++c) {
-    session_ids.push_back(eng.open_session());
-  }
+  // What parallel_for(chains, ..., 1) below runs on: one participant per
+  // chain, capped by the pool size (a single chain never fans out).
+  const std::size_t participants =
+      std::min<std::size_t>(max_threads(), layout.chains);
+  result.threads = layout.chains < 2 ? 1 : static_cast<int>(participants);
 
   obs::Timer total;
   // grain = 1: chains are sequences of whole equilibrium computations,
@@ -312,12 +301,12 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec,
         // reductions serialized, also for a single chain, which runs on
         // the calling thread outside any pool chunk.
         const SerialScope serial;
-        // The chain's persistent state: the engine session owning the
-        // workspace + warm-start payloads, handed from each task to the
-        // next in axis order. With inactive layouts (length 1) the context
-        // is never consulted across tasks, so solves run exactly as the
-        // pre-chain cold path did.
-        engine::SolveSession& ctx = *eng.session(session_ids[c]);
+        // The chain's persistent state: one session owning the workspace +
+        // warm-start payloads, handed from each task to the next in axis
+        // order and freed when the chain ends. With inactive layouts
+        // (length 1) the context is never consulted across tasks, so
+        // solves run exactly as the pre-chain cold path did.
+        engine::SolveSession ctx;
         // Tracing sinks live per chain (one thread each); counters per
         // task, installed below so each record tallies its own work.
         std::optional<obs::TraceScope> trace_scope;

@@ -25,12 +25,12 @@ ScenarioSpec pigou_grid() {
   // Warm-axis declarations (scenario.h) follow one rule: demand axes
   // only. Scenarios whose factories serve the *same* latency objects at
   // every demand — built from shared prototypes like the monomial table
-  // below — actually warm-start along their chains (chain_compatible is a
-  // pointer-identity test); scenarios that redraw a random instance per
-  // point still chain safely (their tasks solve cold while sharing the
-  // chain's workspace), at the cost of a narrower fan-out. Axes that
-  // parameterize the latency family itself (braess-eps' eps, thm24-hard's
-  // slope) declare nothing: chaining could never engage there.
+  // below — actually warm-start along their chains (the sweep's warm test
+  // compares latencies by pointer); scenarios that redraw a random
+  // instance per point still chain safely (their tasks solve cold while
+  // sharing the chain's workspace), at the cost of a narrower fan-out.
+  // Axes that parameterize the latency family itself (braess-eps' eps,
+  // thm24-hard's slope) declare nothing: chaining could never engage there.
   spec.warm_axis = "demand";
   spec.description =
       "nonlinear Pigou {x^d, 1}: latency degree x demand, beta/PoA/costs";
@@ -247,8 +247,8 @@ ScenarioSpec braess_ladder() {
 // The strategy-compare family: ratio-vs-α curves for the classical
 // baselines (Aloof / SCALE / LLF) against MOP's β, on every instance shape
 // the paper discusses. All declare "alpha" as the warm axis: the instance
-// is identical at every α of a chain (shared prototypes, so
-// chain_compatible's pointer-identity test holds), the one optimum solve
+// is identical at every α of a chain (shared prototypes, so the
+// pointer-identity warm test holds), the one optimum solve
 // per chain is warm-reused, and each baseline's induced solve seeds from
 // the previous α's converged follower flow.
 

@@ -1,5 +1,5 @@
 // Engine behavior (engine/engine.h): sessions and warm reuse, the
-// compiled-table cache, batch determinism at any thread count, budget
+// compiled-table cache, determinism at any thread count, budget
 // degradation, and the never-throws error contract of solve().
 #include <gtest/gtest.h>
 
@@ -57,8 +57,6 @@ TEST(EngineTest, SessionLifecycle) {
   const std::uint64_t s = eng.open_session();
   EXPECT_NE(s, 0u);
   EXPECT_EQ(eng.num_sessions(), 1u);
-  EXPECT_NE(eng.session(s), nullptr);
-  EXPECT_EQ(eng.session(s + 999), nullptr);
   EXPECT_TRUE(eng.close_session(s));
   EXPECT_FALSE(eng.close_session(s));
   EXPECT_EQ(eng.num_sessions(), 0u);
@@ -100,11 +98,16 @@ TEST(EngineTest, SessionRampWarmStarts) {
       eng.solve(request(RequestKind::kMop, grid_instance(1.2), s));
   ASSERT_TRUE(warm.ok) << warm.error;
   // The instances are freshly built per request, so only value-based
-  // compatibility can carry the warm state — and it must.
+  // compatibility can carry the warm state — and it must, for every later
+  // request in submission order.
   EXPECT_TRUE(warm.warm);
+  SolveResponse warmer =
+      eng.solve(request(RequestKind::kMop, grid_instance(1.1), s));
+  ASSERT_TRUE(warmer.ok) << warmer.error;
+  EXPECT_TRUE(warmer.warm);
   const EngineStats stats = eng.stats();
-  EXPECT_EQ(stats.warm_attempts, 1u);
-  EXPECT_EQ(stats.warm_hits, 1u);
+  EXPECT_EQ(stats.warm_attempts, 2u);
+  EXPECT_EQ(stats.warm_hits, 2u);
 }
 
 TEST(EngineTest, TopologyChangeResetsWarmState) {
@@ -246,7 +249,7 @@ TEST(EngineTest, CountersCollectedWhenEnabled) {
   EXPECT_GT(r.counters.table_batch_evals, 0u);
 }
 
-std::vector<SolveRequest> mixed_batch() {
+std::vector<SolveRequest> mixed_requests() {
   std::vector<SolveRequest> reqs;
   for (int i = 0; i < 4; ++i) {
     SolveRequest r = request(RequestKind::kMop, grid_instance(1.0 + 0.2 * i));
@@ -262,35 +265,25 @@ std::vector<SolveRequest> mixed_batch() {
   return reqs;
 }
 
-TEST(EngineTest, BatchResponsesAlignWithRequests) {
-  Engine eng;
-  const std::vector<SolveRequest> reqs = mixed_batch();
-  const std::vector<SolveResponse> resps = eng.solve_batch(reqs);
-  ASSERT_EQ(resps.size(), reqs.size());
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    EXPECT_EQ(resps[i].id, reqs[i].id) << i;
-    EXPECT_TRUE(resps[i].ok) << resps[i].error;
-    EXPECT_EQ(resps[i].kind, reqs[i].kind);
-  }
-}
-
-TEST(EngineTest, BatchBitwiseIdenticalAcrossThreadCounts) {
-  // A batch with two warm sessions plus sessionless fill, solved serially
-  // and in parallel: every numeric response field must match bitwise —
-  // the engine-level version of the sweep determinism contract.
+TEST(EngineTest, SolveBitwiseIdenticalAcrossThreadCounts) {
+  // Two warm sessions plus a sessionless request, solved with a 1- and a
+  // 4-thread pool: every numeric response field must match bitwise, since
+  // solve() runs each request under a SerialScope — the engine-level
+  // version of the sweep determinism contract.
   const auto run = [](int threads) {
     const int saved = max_threads_setting();
     set_max_threads(threads);
     Engine eng;
     const std::uint64_t s1 = eng.open_session();
     const std::uint64_t s2 = eng.open_session();
-    std::vector<SolveRequest> reqs = mixed_batch();
+    std::vector<SolveRequest> reqs = mixed_requests();
     for (std::size_t i = 0; i < 4; ++i) reqs[i].session = s1;
     for (std::size_t i = 4; i < reqs.size(); ++i) reqs[i].session = s2;
     SolveRequest lone = request(RequestKind::kMop, links_instance(2.0));
     lone.id = 99;
     reqs.push_back(std::move(lone));
-    std::vector<SolveResponse> out = eng.solve_batch(reqs);
+    std::vector<SolveResponse> out;
+    for (const SolveRequest& req : reqs) out.push_back(eng.solve(req));
     set_max_threads(saved);
     return out;
   };
@@ -308,20 +301,6 @@ TEST(EngineTest, BatchBitwiseIdenticalAcrossThreadCounts) {
                             serial[i].beta == parallel[i].beta;
     EXPECT_TRUE(beta_match) << i;
   }
-}
-
-TEST(EngineTest, BatchSessionsWarmInSubmissionOrder) {
-  Engine eng;
-  const std::uint64_t s = eng.open_session();
-  std::vector<SolveRequest> reqs;
-  for (int i = 0; i < 3; ++i) {
-    reqs.push_back(request(RequestKind::kMop, grid_instance(1.0 + 0.1 * i), s));
-  }
-  const std::vector<SolveResponse> resps = eng.solve_batch(reqs);
-  ASSERT_EQ(resps.size(), 3u);
-  EXPECT_FALSE(resps[0].warm);
-  EXPECT_TRUE(resps[1].warm);
-  EXPECT_TRUE(resps[2].warm);
 }
 
 TEST(EngineTest, FwSeedRejectedAfterDemandSplitChange) {

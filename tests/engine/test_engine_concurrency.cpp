@@ -1,5 +1,5 @@
 // Engine under concurrency (engine/engine.h): many threads driving
-// solve()/solve_batch()/session open-close with no lost or duplicated
+// solve() and session open-close with no lost or duplicated
 // responses and thread-count-invariant results, also beside direct
 // pool-parallel solver calls; the byte budgets (table cache + session
 // set) and the cancellation fast path that back the serve front end.
@@ -103,7 +103,7 @@ TEST(EngineConcurrencyTest, ConcurrentSolvesAreThreadCountInvariant) {
   EXPECT_EQ(eng.stats().errors, 0u);
 }
 
-TEST(EngineConcurrencyTest, MixedSolveBatchAndSessionChurn) {
+TEST(EngineConcurrencyTest, MixedSessionlessSolvesAndSessionChurn) {
   constexpr std::size_t kThreads = 6;
   constexpr std::size_t kRounds = 4;
   Engine eng;
@@ -126,16 +126,12 @@ TEST(EngineConcurrencyTest, MixedSolveBatchAndSessionChurn) {
           }
           ASSERT_TRUE(eng.close_session(s));
         } else {
-          // Sessionless batch.
-          std::vector<SolveRequest> reqs;
+          // Sessionless requests.
           for (std::size_t i = 0; i < 3; ++i) {
-            reqs.push_back(stress_request(t, round * 3 + i));
-          }
-          const std::vector<SolveResponse> out = eng.solve_batch(reqs);
-          ASSERT_EQ(out.size(), reqs.size());
-          for (std::size_t i = 0; i < out.size(); ++i) {
-            ASSERT_TRUE(out[i].ok) << out[i].error;
-            ASSERT_EQ(out[i].id, reqs[i].id);  // index-aligned, no mixups
+            const SolveRequest req = stress_request(t, round * 3 + i);
+            const SolveResponse r = eng.solve(req);
+            ASSERT_TRUE(r.ok) << r.error;
+            ASSERT_EQ(r.id, req.id);  // no mixups across threads
             ++ok_count;
           }
         }

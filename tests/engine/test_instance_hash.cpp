@@ -186,22 +186,27 @@ TEST(WarmCompatibleTest, ValueEqualityIgnoresDemand) {
   ParallelLinks a = sample_links();
   ParallelLinks b = sample_links();
   b.demand = 9.0;
-  EXPECT_TRUE(warm_compatible(Instance(a), Instance(b)));
-  // ... but chain_compatible needs pointer identity, which fresh builds
-  // never have.
-  EXPECT_FALSE(chain_compatible(Instance(a), Instance(b)));
+  EXPECT_TRUE(warm_compatible(Instance(a), Instance(b),
+                              WarmPolicy::kValueEquality));
+  // ... but the pointer-identity policy needs shared latency objects,
+  // which fresh builds never have.
+  EXPECT_FALSE(warm_compatible(Instance(a), Instance(b),
+                               WarmPolicy::kPointerIdentity));
 
   b.links[1] = make_mm1(4.5);
-  EXPECT_FALSE(warm_compatible(Instance(a), Instance(b)));
+  EXPECT_FALSE(warm_compatible(Instance(a), Instance(b),
+                               WarmPolicy::kValueEquality));
 }
 
 TEST(WarmCompatibleTest, NetworkEndpointsChecked) {
   const NetworkInstance n = sample_network();
   NetworkInstance m = sample_network();
   m.commodities[0].demand = 5.0;
-  EXPECT_TRUE(warm_compatible(Instance(n), Instance(m)));
+  EXPECT_TRUE(warm_compatible(Instance(n), Instance(m),
+                              WarmPolicy::kValueEquality));
   m.commodities[0].sink = 1;
-  EXPECT_FALSE(warm_compatible(Instance(n), Instance(m)));
+  EXPECT_FALSE(warm_compatible(Instance(n), Instance(m),
+                               WarmPolicy::kValueEquality));
 }
 
 }  // namespace

@@ -184,7 +184,7 @@ TEST(Counters, WaterFillWarmHintAccounting) {
   auto run = [&](double hint) {
     obs::SolveCounters sink;
     obs::CountersScope scope(sink);
-    (void)water_fill(links, 3.0, LevelKind::kLatency, 1e-12, ws, hint);
+    (void)water_fill(links, 3.0, LevelKind::kLatency, 1e-12, &ws, hint);
     return sink;
   };
   // NaN = cold: no attempt at all.

@@ -163,8 +163,8 @@ TEST(WaterFill, EvalCapDegradesWithSupplyGap) {
   SolverWorkspace ws;
   SolveBudget budget;
   budget.max_iters = 1;  // one S(L) probe: cannot bracket, let alone refine
-  const WaterFillingResult r =
-      water_fill(m.links, m.demand, LevelKind::kLatency, 1e-13, ws,
+  const LinkAssignment r =
+      water_fill(m.links, m.demand, LevelKind::kLatency, 1e-13, &ws,
                  std::nan(""), budget);
   EXPECT_EQ(r.status, SolveStatus::kIterLimit);
   EXPECT_TRUE(std::isfinite(r.level));
@@ -223,8 +223,8 @@ TEST(WaterFill, InjectedNanDegradesColdSolveWithoutThrowing) {
   fault::FaultScope scope(&tf, 0);
 
   SolverWorkspace ws;
-  const WaterFillingResult r = water_fill(
-      m.links, m.demand, LevelKind::kLatency, 1e-13, ws, std::nan(""), {});
+  const LinkAssignment r = water_fill(
+      m.links, m.demand, LevelKind::kLatency, 1e-13, &ws, std::nan(""), {});
   EXPECT_EQ(r.status, SolveStatus::kNumericFailure);
   EXPECT_TRUE(std::isfinite(r.level));
   for (double f : r.flows) EXPECT_TRUE(std::isfinite(f));
@@ -238,8 +238,8 @@ TEST(WaterFill, WarmGuardFallsBackColdAndCountsIt) {
   m.demand = 0.5;
   SolverWorkspace ws;
   // Converged level of the clean system, to use as a warm hint.
-  const WaterFillingResult clean =
-      water_fill(m.links, m.demand, LevelKind::kLatency, 1e-13, ws);
+  const LinkAssignment clean =
+      water_fill(m.links, m.demand, LevelKind::kLatency, 1e-13, &ws);
   ASSERT_EQ(clean.status, SolveStatus::kConverged);
 
   fault::TaskFaults tf;
@@ -250,8 +250,8 @@ TEST(WaterFill, WarmGuardFallsBackColdAndCountsIt) {
   {
     obs::CountersScope counters(sink);
     fault::FaultScope scope(&tf, 0);
-    const WaterFillingResult r =
-        water_fill(m.links, m.demand, LevelKind::kLatency, 1e-13, ws,
+    const LinkAssignment r =
+        water_fill(m.links, m.demand, LevelKind::kLatency, 1e-13, &ws,
                    clean.level, {});
     // The warm guard retried cold; the single fault event was already
     // consumed, so the cold solve converges to the clean answer.

@@ -353,6 +353,20 @@ TEST(SweepRunner, SinglePointSweepPinsInnerThreadsAndRestores) {
   EXPECT_EQ(max_threads_setting(), 0);  // restored afterwards
 }
 
+TEST(SweepRunner, ThreadsReportsParticipantsNotPoolSize) {
+  // Three warm chains under an 8-thread setting fan out over three
+  // participants only; the result must say so rather than echo the pool.
+  ScenarioSpec spec = make_scenario("pigou-grid");
+  spec.grid = ParamGrid().add("degree", {1, 2, 3}).add("demand", {1.0, 2.0});
+  set_max_threads(8);
+  const SweepResult result = SweepRunner().run(spec);
+  set_max_threads(0);
+  ASSERT_EQ(result.chains, 3u);
+  EXPECT_EQ(result.threads, 3);
+  EXPECT_NE(result.summary().find("3 thread(s)"), std::string::npos)
+      << result.summary();
+}
+
 TEST(SweepResult, TableShapes) {
   ScenarioSpec spec = make_scenario("pigou-grid");
   spec.grid = ParamGrid().add("degree", {1, 2}).add("demand", {1.0});

@@ -111,11 +111,15 @@ TEST(WarmChains, PrototypeScenariosChainCompatiblyAlongDemand) {
     ParamPoint b({"degree", "fast_links", "demand"}, {3.0, 3.0, 2.0});
     const engine::Instance ia = spec.factory(a, rng_a);
     const engine::Instance ib = spec.factory(b, rng_b);
-    EXPECT_TRUE(engine::chain_compatible(ia, ib)) << name;
+    EXPECT_TRUE(engine::warm_compatible(ia, ib,
+                                        engine::WarmPolicy::kPointerIdentity))
+        << name;
     // A different non-warm coordinate must not be compatible.
     ParamPoint c({"degree", "fast_links", "demand"}, {4.0, 4.0, 2.0});
     const engine::Instance ic = spec.factory(c, rng_b);
-    EXPECT_FALSE(engine::chain_compatible(ia, ic)) << name;
+    EXPECT_FALSE(engine::warm_compatible(
+        ia, ic, engine::WarmPolicy::kPointerIdentity))
+        << name;
   }
 }
 
@@ -154,7 +158,7 @@ TEST(WarmChains, GeneratedDemandSweepChainsAndAgrees) {
 }
 
 // A factory that switches topology mid-axis: the chain must detect the
-// break (chain_compatible fails on the fresh latency objects), solve cold
+// break (warm_compatible fails on the fresh latency objects), solve cold
 // there, and keep producing rows that agree with the cold run.
 TEST(WarmChains, TopologyChangeMidChainFallsBackCold) {
   ScenarioSpec spec;
