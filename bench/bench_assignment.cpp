@@ -46,7 +46,7 @@ void fw_slice(benchmark::State& state, const NetworkInstance& inst,
   set_max_threads(1);
   EquilibriumRequest req;
   req.backend = EquilibriumBackend::kFrankWolfe;
-  req.frank_wolfe.max_iters = iters;
+  req.budget.max_iters = iters;
   // Run the full slice; record the achieved gap.
   req.frank_wolfe.rel_gap_tol = 0.0;
   double gap = 0.0;

@@ -39,7 +39,7 @@ EquilibriumRequest equilibration_request() {
 EquilibriumRequest fw_request() {
   EquilibriumRequest req;
   req.backend = EquilibriumBackend::kFrankWolfe;
-  req.frank_wolfe.max_iters = 40;
+  req.budget.max_iters = 40;
   // Fixed budget: identical work in every mode.
   req.frank_wolfe.rel_gap_tol = 0.0;
   return req;

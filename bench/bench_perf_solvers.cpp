@@ -1,7 +1,7 @@
 // E10c — solver ablations called out in DESIGN.md:
 //  * water-filling with closed-form vs generic numeric latency inverses
 //    (the same affine function expressed as AffineLatency vs Polynomial),
-//  * Frank–Wolfe exact line search vs harmonic steps at a fixed budget,
+//  * Frank–Wolfe at a fixed iteration budget,
 //  * Frank–Wolfe vs path equilibration to comparable accuracy,
 //  * the free-flow max-flow step of MOP.
 #include <benchmark/benchmark.h>
@@ -69,27 +69,13 @@ void BM_FrankWolfeExactStep(benchmark::State& state) {
   const NetworkInstance inst = grid_city(rng, 5, 5, 2.0);
   EquilibriumRequest req;
   req.backend = EquilibriumBackend::kFrankWolfe;
-  req.frank_wolfe.max_iters = static_cast<int>(state.range(0));
+  req.budget.max_iters = state.range(0);
   req.frank_wolfe.rel_gap_tol = 0.0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(solve_equilibrium(inst, req));
   }
 }
 BENCHMARK(BM_FrankWolfeExactStep)->Arg(100)->Unit(benchmark::kMillisecond);
-
-void BM_FrankWolfeHarmonicStep(benchmark::State& state) {
-  Rng rng(2);
-  const NetworkInstance inst = grid_city(rng, 5, 5, 2.0);
-  EquilibriumRequest req;
-  req.backend = EquilibriumBackend::kFrankWolfe;
-  req.frank_wolfe.max_iters = static_cast<int>(state.range(0));
-  req.frank_wolfe.rel_gap_tol = 0.0;
-  req.frank_wolfe.step_rule = FwStepRule::kHarmonic;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solve_equilibrium(inst, req));
-  }
-}
-BENCHMARK(BM_FrankWolfeHarmonicStep)->Arg(100)->Unit(benchmark::kMillisecond);
 
 void BM_FrankWolfeToModestGap(benchmark::State& state) {
   Rng rng(2);
@@ -127,7 +113,7 @@ void BM_FrankWolfeLayeredLarge(benchmark::State& state) {
   const NetworkInstance inst = random_layered_dag(rng, 30, 16, 0.35, 4.0);
   EquilibriumRequest req;
   req.backend = EquilibriumBackend::kFrankWolfe;
-  req.frank_wolfe.max_iters = 60;
+  req.budget.max_iters = 60;
   req.frank_wolfe.rel_gap_tol = 0.0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(solve_equilibrium(inst, req));
@@ -140,7 +126,7 @@ void BM_FrankWolfeGridLarge(benchmark::State& state) {
   const NetworkInstance inst = grid_city(rng, 12, 12, 3.0);
   EquilibriumRequest req;
   req.backend = EquilibriumBackend::kFrankWolfe;
-  req.frank_wolfe.max_iters = 40;
+  req.budget.max_iters = 40;
   req.frank_wolfe.rel_gap_tol = 0.0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(solve_equilibrium(inst, req));
@@ -210,10 +196,8 @@ void BM_MaxFlowGrid(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxFlowGrid)->Arg(10)->Arg(30)->Unit(benchmark::kMicrosecond);
 
-// Ablation: MOP's free-flow step via exact Dinic vs greedy widest-path
-// peeling. Greedy is faster but over-estimates beta whenever the tight
-// capacities are unbalanced (see GreedyPeel tests for the correctness
-// gap); this measures the speed side of that trade.
+// MOP's β pipeline without the induced verification solve: the optimum,
+// the tight subgraphs and the exact Dinic free-flow step.
 void BM_MopFreeFlowMaxFlow(benchmark::State& state) {
   Rng rng(5);
   const NetworkInstance inst = grid_city(rng, 6, 6, 2.0);
@@ -224,18 +208,6 @@ void BM_MopFreeFlowMaxFlow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MopFreeFlowMaxFlow)->Unit(benchmark::kMillisecond);
-
-void BM_MopFreeFlowGreedyPeel(benchmark::State& state) {
-  Rng rng(5);
-  const NetworkInstance inst = grid_city(rng, 6, 6, 2.0);
-  MopOptions opts;
-  opts.verify_induced = false;
-  opts.free_flow_method = FreeFlowMethod::kGreedyPeel;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mop(inst, opts));
-  }
-}
-BENCHMARK(BM_MopFreeFlowGreedyPeel)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -26,7 +26,6 @@
 
 #include "stackroute/equilibrium/network.h"
 #include "stackroute/network/instance.h"
-#include "stackroute/network/maxflow.h"
 #include "stackroute/network/paths.h"
 #include "stackroute/obs/counters.h"
 
@@ -73,30 +72,17 @@ struct MopResult {
   obs::SolveCounters counters;
 };
 
-/// How step 3 computes the free flow inside the tight subgraph.
-enum class FreeFlowMethod {
-  /// Exact: Dinic max-flow with capacities o_e — the minimum-β choice.
-  kMaxFlow,
-  /// Ablation baseline: greedily peel shortest-path flow out of the tight
-  /// subgraph (no residual rerouting). Can under-estimate the free flow on
-  /// diamond-shaped tight subgraphs, i.e. over-estimate β; never wrong
-  /// about inducing the optimum, just possibly wasteful.
-  kGreedyPeel,
-};
-
 struct MopOptions {
-  AssignmentOptions assignment;
   /// Resource limits shared by the optimum and the induced verification
   /// solve (armed once, so both draw on one deadline). Inactive by default.
   SolveBudget budget;
   /// Slack below which an edge counts as lying on a shortest path.
-  double tight_tol = 1e-7;
+  static constexpr double tight_tol = 1e-7;
   /// Flows below this are treated as zero.
-  double flow_tol = 1e-9;
+  static constexpr double flow_tol = 1e-9;
   /// Skip the induced-equilibrium verification solve (benches that only
   /// need β can save the second solve).
   bool verify_induced = true;
-  FreeFlowMethod free_flow_method = FreeFlowMethod::kMaxFlow;
 };
 
 MopResult mop(const NetworkInstance& inst, const MopOptions& opts = {});
@@ -116,14 +102,5 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
 
 /// Convenience: just β_G.
 double price_of_optimum(const NetworkInstance& inst);
-
-/// The FreeFlowMethod::kGreedyPeel primitive, exposed for tests/benches:
-/// peel widest paths without residual rerouting. Returns a feasible (but
-/// possibly non-maximum) s→t flow under `capacity`, value capped at
-/// `limit`. max_flow() dominates it whenever the capacities do not form a
-/// balanced flow themselves.
-MaxFlowResult greedy_peel_flow(const Graph& g, NodeId s, NodeId t,
-                               std::span<const double> capacity, double limit,
-                               double tol = 1e-12);
 
 }  // namespace stackroute

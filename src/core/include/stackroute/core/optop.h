@@ -51,18 +51,11 @@ struct OpTopResult {
   double supply_gap = 0.0;
 };
 
-struct OpTopOptions {
-  /// A link counts as under-loaded when o_i > n_i + freeze_tol·max(1, r).
-  double freeze_tol = 1e-9;
-  /// Water-filling tolerance.
-  double solve_tol = 1e-13;
-  /// Shared resource budget: armed once at op_top entry, so every internal
-  /// water-filling solve draws on one deadline (see solver/status.h).
-  SolveBudget budget;
-};
-
-/// Runs OpTop on (M, r). Throws on malformed instances.
-OpTopResult op_top(const ParallelLinks& m, const OpTopOptions& opts = {});
+/// Runs OpTop on (M, r). A link counts as under-loaded when
+/// o_i > n_i + 1e-9·max(1, r). `budget` is armed once at entry, so every
+/// internal water-filling solve draws on one deadline (see
+/// solver/status.h). Throws on malformed instances.
+OpTopResult op_top(const ParallelLinks& m, const SolveBudget& budget = {});
 
 /// Converged water-filling levels of a prior op_top run — warm-start hints
 /// for the chained solves of a demand sweep (the neighboring grid point's
@@ -83,7 +76,7 @@ struct OpTopWarmStart {
 /// cold), and, when `warm_out` is non-null, overwrites it with this run's
 /// converged levels for the next chained point. warm_in and warm_out may
 /// alias.
-OpTopResult op_top(const ParallelLinks& m, const OpTopOptions& opts,
+OpTopResult op_top(const ParallelLinks& m, const SolveBudget& budget,
                    SolverWorkspace& ws, const OpTopWarmStart* warm_in,
                    OpTopWarmStart* warm_out);
 

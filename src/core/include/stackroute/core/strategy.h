@@ -59,12 +59,12 @@ StackelbergOutcome evaluate_strategy(const ParallelLinks& m,
 
 /// Precomputed-optimum variant for α-sweeps: one optimum solve feeds every
 /// α point instead of one per call (`optimum_cost` must be C(O) > 0). The
-/// induced solve takes solve_induced's knobs (see parallel.h): tolerance,
+/// induced solve takes solve_induced's arguments (see parallel.h):
 /// workspace, the warm level hint and a budget whose hit degrades the
 /// outcome (status/supply_gap) instead of throwing.
 StackelbergOutcome evaluate_strategy(const ParallelLinks& m,
                                      std::span<const double> strategy,
-                                     double optimum_cost, double tol = 1e-13,
+                                     double optimum_cost,
                                      SolverWorkspace* ws = nullptr,
                                      double level_hint = kNoLevelHint,
                                      const SolveBudget& budget = {});
@@ -118,8 +118,7 @@ struct NetworkStackelbergOutcome {
 /// C(O). Solves the optimum itself; throws stackroute::Error on degenerate
 /// instances whose optimum cost is zero.
 NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
-                                            const NetworkStrategy& strategy,
-                                            const AssignmentOptions& opts = {});
+                                            const NetworkStrategy& strategy);
 
 /// Precomputed-optimum / workspace / warm-start variant for chained
 /// α-sweeps: `optimum_cost` must be C(O) > 0; the induced solve is a
@@ -131,7 +130,6 @@ NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
 NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
                                             const NetworkStrategy& strategy,
                                             double optimum_cost,
-                                            const AssignmentOptions& opts,
                                             SolverWorkspace& ws,
                                             EquilibriumWarmState* warm,
                                             const SolveBudget& budget = {});

@@ -40,8 +40,7 @@ struct TollResult {
 TollResult marginal_cost_tolls(const ParallelLinks& m);
 
 /// Marginal-cost tolls on a (multicommodity) network.
-TollResult marginal_cost_tolls(const NetworkInstance& inst,
-                               const AssignmentOptions& opts = {});
+TollResult marginal_cost_tolls(const NetworkInstance& inst);
 
 /// Builds the tolled variant of an instance (each latency wrapped with
 /// make_offset by the given toll vector). Exposed for tests and benches.

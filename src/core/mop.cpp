@@ -14,51 +14,6 @@
 
 namespace stackroute {
 
-MaxFlowResult greedy_peel_flow(const Graph& g, NodeId s, NodeId t,
-                               std::span<const double> capacity, double limit,
-                               double tol) {
-  std::vector<double> residual(capacity.begin(), capacity.end());
-  MaxFlowResult out;
-  out.edge_flow.assign(capacity.size(), 0.0);
-  const auto n = static_cast<std::size_t>(g.num_nodes());
-  while (out.value < limit) {
-    // Walk from s picking the widest usable edge; stop on dead ends.
-    std::vector<char> visited(n, 0);
-    std::vector<EdgeId> walk;
-    NodeId v = s;
-    visited[static_cast<std::size_t>(v)] = 1;
-    while (v != t) {
-      EdgeId best = kInvalidEdge;
-      double best_cap = tol;
-      for (EdgeId e : g.out_edges(v)) {
-        const NodeId w = g.edge(e).head;
-        if (visited[static_cast<std::size_t>(w)]) continue;
-        const double c = residual[static_cast<std::size_t>(e)];
-        if (c > best_cap) {
-          best_cap = c;
-          best = e;
-        }
-      }
-      if (best == kInvalidEdge) break;
-      walk.push_back(best);
-      v = g.edge(best).head;
-      visited[static_cast<std::size_t>(v)] = 1;
-    }
-    if (v != t || walk.empty()) break;
-    double bottleneck = limit - out.value;
-    for (EdgeId e : walk) {
-      bottleneck = std::fmin(bottleneck, residual[static_cast<std::size_t>(e)]);
-    }
-    if (bottleneck <= tol) break;
-    for (EdgeId e : walk) {
-      residual[static_cast<std::size_t>(e)] -= bottleneck;
-      out.edge_flow[static_cast<std::size_t>(e)] += bottleneck;
-    }
-    out.value += bottleneck;
-  }
-  return out;
-}
-
 MopResult mop(const NetworkInstance& inst, const MopOptions& opts) {
   // One workspace across the optimum solve, the cost fix-up and the
   // induced verification solve.
@@ -76,7 +31,6 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
   // solve draw on a single shared deadline.
   EquilibriumRequest req;
   req.objective = FlowObjective::kTotalCost;
-  req.assignment = opts.assignment;
   req.budget = opts.budget.armed();
   const Graph& g = inst.graph;
   const auto ne = static_cast<std::size_t>(g.num_edges());
@@ -119,8 +73,8 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
       // (2) Tight subgraph of commodity i under optimum costs; the forward
       // tree the mask computation leaves behind carries dist(s_i, t_i).
       shortest_path_edge_mask_into(g, com.source, com.sink, opt_costs,
-                                   opts.tight_tol, ws.dijkstra, ws.dijkstra_rev,
-                                   trace.tight_edges);
+                                   MopOptions::tight_tol, ws.dijkstra,
+                                   ws.dijkstra_rev, trace.tight_edges);
       trace.shortest_cost =
           ws.dijkstra.tree.dist[static_cast<std::size_t>(com.sink)];
 
@@ -135,24 +89,20 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
       for (std::size_t e = 0; e < ne; ++e) {
         caps[e] = trace.tight_edges[e] ? commodity_opt[e] : 0.0;
       }
-      const MaxFlowResult mf =
-          opts.free_flow_method == FreeFlowMethod::kMaxFlow
-              ? max_flow(g, com.source, com.sink, caps, com.demand,
-                         opts.flow_tol)
-              : greedy_peel_flow(g, com.source, com.sink, caps, com.demand,
-                                 opts.flow_tol);
+      const MaxFlowResult mf = max_flow(g, com.source, com.sink, caps,
+                                        com.demand, MopOptions::flow_tol);
       trace.free_flow = mf.value;
       trace.controlled_flow = com.demand - mf.value;
-      trace.free_paths =
-          decompose_flow(g, com.source, com.sink, mf.edge_flow, opts.flow_tol);
+      trace.free_paths = decompose_flow(g, com.source, com.sink, mf.edge_flow,
+                                        MopOptions::flow_tol);
 
       // (4) Leader controls the remainder of commodity i's optimum.
       for (std::size_t e = 0; e < ne; ++e) {
         leader_i[e] = std::fmax(0.0, commodity_opt[e] - mf.edge_flow[e]);
         result.leader_edge_flow[e] += leader_i[e];
       }
-      trace.leader_paths =
-          decompose_flow(g, com.source, com.sink, leader_i, opts.flow_tol);
+      trace.leader_paths = decompose_flow(g, com.source, com.sink, leader_i,
+                                          MopOptions::flow_tol);
       result.free_flow_total += trace.free_flow;
     }
   }
@@ -178,7 +128,7 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
     NetworkInstance followers;
     followers.graph = g;
     for (std::size_t i = 0; i < k; ++i) {
-      if (result.commodities[i].free_flow > opts.flow_tol) {
+      if (result.commodities[i].free_flow > MopOptions::flow_tol) {
         Commodity c = inst.commodities[i];
         c.demand = result.commodities[i].free_flow;
         followers.commodities.push_back(c);

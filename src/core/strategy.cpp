@@ -83,8 +83,8 @@ StackelbergOutcome evaluate_strategy(const ParallelLinks& m,
 
 StackelbergOutcome evaluate_strategy(const ParallelLinks& m,
                                      std::span<const double> strategy,
-                                     double optimum_cost, double tol,
-                                     SolverWorkspace* ws, double level_hint,
+                                     double optimum_cost, SolverWorkspace* ws,
+                                     double level_hint,
                                      const SolveBudget& budget) {
   obs::ScopedCounterDelta tally;
   obs::ScopedSpan span("evaluate_strategy");
@@ -93,7 +93,7 @@ StackelbergOutcome evaluate_strategy(const ParallelLinks& m,
   StackelbergOutcome out;
   out.strategy.assign(strategy.begin(), strategy.end());
   const LinkAssignment induced =
-      solve_induced(m, strategy, tol, ws, level_hint, budget);
+      solve_induced(m, strategy, ws, level_hint, budget);
   out.induced = induced.flows;
   out.induced_level = induced.level;
   out.status = induced.status;
@@ -160,22 +160,19 @@ double follower_demand(const Commodity& c, double controlled) {
 }  // namespace
 
 NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
-                                            const NetworkStrategy& strategy,
-                                            const AssignmentOptions& opts) {
+                                            const NetworkStrategy& strategy) {
   SolverWorkspace ws;
   EquilibriumRequest req;
   req.objective = FlowObjective::kTotalCost;
-  req.assignment = opts;
   const EquilibriumResult opt =
       solve_equilibrium(inst, {}, req, ws, nullptr, nullptr);
-  return evaluate_strategy(inst, strategy, cost(inst, opt.edge_flow), opts, ws,
+  return evaluate_strategy(inst, strategy, cost(inst, opt.edge_flow), ws,
                            nullptr);
 }
 
 NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
                                             const NetworkStrategy& strategy,
                                             double optimum_cost,
-                                            const AssignmentOptions& opts,
                                             SolverWorkspace& ws,
                                             EquilibriumWarmState* warm,
                                             const SolveBudget& budget) {
@@ -214,7 +211,6 @@ NetworkStackelbergOutcome evaluate_strategy(const NetworkInstance& inst,
   } else {
     followers.graph = inst.graph;
     EquilibriumRequest req;
-    req.assignment = opts;
     req.budget = budget;
     EquilibriumResult induced =
         solve_equilibrium(followers, strategy.preload, req, ws, warm, warm);

@@ -58,13 +58,11 @@ TollResult marginal_cost_tolls(const ParallelLinks& m) {
   return result;
 }
 
-TollResult marginal_cost_tolls(const NetworkInstance& inst,
-                               const AssignmentOptions& opts) {
+TollResult marginal_cost_tolls(const NetworkInstance& inst) {
   inst.validate();
   TollResult result;
   SolverWorkspace ws;
   EquilibriumRequest req;
-  req.assignment = opts;
   result.untolled_nash_cost = cost(
       inst, solve_equilibrium(inst, {}, req, ws, nullptr, nullptr).edge_flow);
   EquilibriumRequest opt_req = req;

@@ -249,9 +249,7 @@ SolveResponse Engine::solve_on(SolveSession* session,
 
     Evaluation eval(inst, session, WarmPolicy::kValueEquality);
     resp.warm = eval.warm();
-    const SolveBudget& budget =
-        req.budget.active() ? req.budget : opts_.default_budget;
-    eval.set_budget(budget);
+    eval.set_budget(req.budget);
 
     switch (req.kind) {
       case RequestKind::kEquilibrium:

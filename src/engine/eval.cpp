@@ -72,15 +72,13 @@ const NetworkInstance& Evaluation::network() const {
 
 const OpTopResult& Evaluation::optop() {
   if (!optop_) {
-    OpTopOptions opts;
-    opts.budget = budget_;
     if (session_ != nullptr) {
       // In/out aliasing is supported: the hints are read before the levels
       // are overwritten with this evaluation's.
-      optop_ = op_top(links(), opts, session_->ws, &session_->optop,
+      optop_ = op_top(links(), budget_, session_->ws, &session_->optop,
                       &session_->optop);
     } else {
-      optop_ = op_top(links(), opts);
+      optop_ = op_top(links(), budget_);
     }
     absorb(optop_->status);
   }
@@ -152,7 +150,7 @@ const EquilibriumResult& Evaluation::network_optimum() {
 const LinkAssignment& Evaluation::parallel_nash() {
   if (!par_nash_) {
     double* level = session_ != nullptr ? &session_->nash_level : nullptr;
-    par_nash_ = solve_nash(links(), 1e-13, &ws(),
+    par_nash_ = solve_nash(links(), &ws(),
                            level != nullptr ? *level : kNoLevelHint, budget_);
     if (level != nullptr) *level = par_nash_->level;
     absorb(par_nash_->status);
@@ -163,7 +161,7 @@ const LinkAssignment& Evaluation::parallel_nash() {
 const LinkAssignment& Evaluation::parallel_optimum() {
   if (!par_opt_) {
     double* level = session_ != nullptr ? &session_->opt_level : nullptr;
-    par_opt_ = solve_optimum(links(), 1e-13, &ws(),
+    par_opt_ = solve_optimum(links(), &ws(),
                              level != nullptr ? *level : kNoLevelHint,
                              budget_);
     if (level != nullptr) *level = par_opt_->level;
@@ -240,7 +238,7 @@ double Evaluation::evaluate_baseline(StrategyKind kind, double alpha,
                                            : &session_->llf_level;
     }
     const StackelbergOutcome out = evaluate_strategy(
-        links(), s, ot.optimum_cost, 1e-13, &ws(),
+        links(), s, ot.optimum_cost, &ws(),
         level != nullptr ? *level : kNoLevelHint, budget_);
     if (level != nullptr) *level = out.induced_level;
     absorb(out.status);
@@ -257,7 +255,7 @@ double Evaluation::evaluate_baseline(StrategyKind kind, double alpha,
                                         : &session_->llf_induced;
   }
   const NetworkStackelbergOutcome out =
-      evaluate_strategy(network(), s, opt_cost, {}, ws(), warm, budget_);
+      evaluate_strategy(network(), s, opt_cost, ws(), warm, budget_);
   absorb(out.status);
   return out.cost;
 }

@@ -69,8 +69,8 @@ struct SolveRequest {
   /// over 0.8-1.3x (relative gap 4.6e-6 and 6.9e-4), and at 1.175x its
   /// per-destination split gives a beta 0.012 below pe's.
   EquilibriumBackend backend = EquilibriumBackend::kPathEqualization;
-  /// Optional per-request budget; when inactive the engine's default
-  /// applies. Armed per request — the deadline starts when the solve does.
+  /// Optional per-request budget (inactive by default = no limits). Armed
+  /// per request — the deadline starts when the solve does.
   SolveBudget budget;
   /// Session id from open_session(); 0 = sessionless (pooled workspace,
   /// no warm carry-over).
@@ -131,8 +131,6 @@ struct EngineOptions {
   /// shed their memory (warm payloads + workspace buffers) LRU-first —
   /// sessions stay open and correct, they just re-warm from cold.
   std::size_t session_budget_bytes = 0;
-  /// Applied to requests whose own budget is inactive.
-  SolveBudget default_budget;
 };
 
 /// Cumulative service counters (diagnostic; see also per-request

@@ -26,7 +26,6 @@ bool satisfies_wardrop(const NetworkInstance& inst,
                        std::span<const double> preload, double tol = 1e-7);
 
 /// C(N)/C(O).
-double price_of_anarchy(const NetworkInstance& inst,
-                        const AssignmentOptions& opts = {});
+double price_of_anarchy(const NetworkInstance& inst);
 
 }  // namespace stackroute

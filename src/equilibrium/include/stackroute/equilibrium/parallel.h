@@ -12,7 +12,7 @@
 namespace stackroute {
 
 // Every solve below is one water_fill (solver/water_filling.h, which also
-// defines LinkAssignment) and takes its trailing knobs, all optional: tol,
+// defines LinkAssignment) and takes its trailing arguments, all optional:
 // ws (OpTop's round recursion and the engine's sessions pass theirs),
 // level_hint and budget. Pass an armed budget to share one deadline across
 // a pipeline.
@@ -20,13 +20,13 @@ namespace stackroute {
 /// The Nash assignment N of (M, r): unique for strictly increasing
 /// latencies; with constant links, unique up to the cost-invariant split
 /// of plateau flow (Remark 2.5).
-LinkAssignment solve_nash(const ParallelLinks& m, double tol = 1e-13,
+LinkAssignment solve_nash(const ParallelLinks& m,
                           SolverWorkspace* ws = nullptr,
                           double level_hint = kNoLevelHint,
                           const SolveBudget& budget = {});
 
 /// The optimum assignment O of (M, r).
-LinkAssignment solve_optimum(const ParallelLinks& m, double tol = 1e-13,
+LinkAssignment solve_optimum(const ParallelLinks& m,
                              SolverWorkspace* ws = nullptr,
                              double level_hint = kNoLevelHint,
                              const SolveBudget& budget = {});
@@ -35,7 +35,7 @@ LinkAssignment solve_optimum(const ParallelLinks& m, double tol = 1e-13,
 /// the Leader's strategy `preload` (flows are the followers' part only).
 LinkAssignment solve_induced(const ParallelLinks& m,
                              std::span<const double> preload,
-                             double tol = 1e-13, SolverWorkspace* ws = nullptr,
+                             SolverWorkspace* ws = nullptr,
                              double level_hint = kNoLevelHint,
                              const SolveBudget& budget = {});
 

@@ -50,11 +50,9 @@ bool satisfies_wardrop(const NetworkInstance& inst,
   return true;
 }
 
-double price_of_anarchy(const NetworkInstance& inst,
-                        const AssignmentOptions& opts) {
+double price_of_anarchy(const NetworkInstance& inst) {
   SolverWorkspace ws;
   EquilibriumRequest req;
-  req.assignment = opts;
   const double n =
       cost(inst, solve_equilibrium(inst, {}, req, ws, nullptr, nullptr)
                      .edge_flow);

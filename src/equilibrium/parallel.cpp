@@ -28,24 +28,22 @@ std::vector<LatencyPtr> shifted_links(const ParallelLinks& m,
 
 }  // namespace
 
-LinkAssignment solve_nash(const ParallelLinks& m, double tol,
-                          SolverWorkspace* ws, double level_hint,
-                          const SolveBudget& budget) {
+LinkAssignment solve_nash(const ParallelLinks& m, SolverWorkspace* ws,
+                          double level_hint, const SolveBudget& budget) {
   m.validate();
-  return water_fill(m.links, m.demand, LevelKind::kLatency, tol, ws,
-                    level_hint, budget);
+  return water_fill(m.links, m.demand, LevelKind::kLatency, ws, level_hint,
+                    budget);
 }
 
-LinkAssignment solve_optimum(const ParallelLinks& m, double tol,
-                             SolverWorkspace* ws, double level_hint,
-                             const SolveBudget& budget) {
+LinkAssignment solve_optimum(const ParallelLinks& m, SolverWorkspace* ws,
+                             double level_hint, const SolveBudget& budget) {
   m.validate();
-  return water_fill(m.links, m.demand, LevelKind::kMarginalCost, tol, ws,
+  return water_fill(m.links, m.demand, LevelKind::kMarginalCost, ws,
                     level_hint, budget);
 }
 
 LinkAssignment solve_induced(const ParallelLinks& m,
-                             std::span<const double> preload, double tol,
+                             std::span<const double> preload,
                              SolverWorkspace* ws, double level_hint,
                              const SolveBudget& budget) {
   m.validate();
@@ -54,8 +52,7 @@ LinkAssignment solve_induced(const ParallelLinks& m,
   SR_REQUIRE(controlled <= m.demand + 1e-9 * std::fmax(1.0, m.demand),
              "Leader preload exceeds total demand");
   const double rest = std::fmax(0.0, m.demand - controlled);
-  return water_fill(links, rest, LevelKind::kLatency, tol, ws, level_hint,
-                    budget);
+  return water_fill(links, rest, LevelKind::kLatency, ws, level_hint, budget);
 }
 
 double cost(const ParallelLinks& m, std::span<const double> flows) {

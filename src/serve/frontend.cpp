@@ -11,6 +11,11 @@ namespace stackroute::serve {
 
 namespace {
 
+/// Per-client cap on concurrently open engine sessions.
+constexpr std::size_t kMaxClientSessions = 256;
+/// Parsed instance prototypes kept (LRU beyond this).
+constexpr std::size_t kPrototypeCacheCapacity = 64;
+
 /// Digs the id out of a line that is about to be shed without parsing it
 /// into a request — best effort: a malformed line sheds under id 0.
 std::uint64_t best_effort_id(const std::string& text) {
@@ -33,9 +38,7 @@ std::uint64_t best_effort_id(const std::string& text) {
 FrontEnd::FrontEnd(engine::Engine& engine, FrontEndOptions opts)
     : engine_(engine),
       opts_(opts),
-      prototypes_(opts.prototype_cache_capacity == 0
-                      ? 1
-                      : opts.prototype_cache_capacity) {
+      prototypes_(kPrototypeCacheCapacity) {
   if (opts_.workers == 0) opts_.workers = 1;
   workers_.reserve(opts_.workers);
   for (std::size_t i = 0; i < opts_.workers; ++i) {
@@ -336,9 +339,9 @@ std::string FrontEnd::process(Client& c, const Item& item, bool* is_error,
     if (p.client_session != 0) {
       auto sit = c.sessions.find(p.client_session);
       if (sit == c.sessions.end()) {
-        if (c.sessions.size() >= opts_.max_client_sessions) {
+        if (c.sessions.size() >= kMaxClientSessions) {
           throw Error("too many open sessions (cap " +
-                      std::to_string(opts_.max_client_sessions) +
+                      std::to_string(kMaxClientSessions) +
                       "): close unused sessions first");
         }
         sit = c.sessions.emplace(p.client_session, engine_.open_session())

@@ -67,9 +67,6 @@ struct FrontEndOptions {
   /// Per-client bound on buffered formatted responses, in bytes; a client
   /// at the bound is not scheduled until its transport drains some.
   std::size_t write_buffer_bytes = 1 << 20;
-  /// Per-client cap on concurrently open engine sessions.
-  std::size_t max_client_sessions = 256;
-  std::size_t prototype_cache_capacity = 64;
   /// Append "bytes" (engine resident bytes) to ok responses.
   bool show_bytes = false;
   /// Backend for requests that set neither "backend" nor "method" — the

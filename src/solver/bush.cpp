@@ -21,6 +21,13 @@ namespace {
 constexpr double kAddEps = 1e-12;
 constexpr double kShiftEps = 1e-14;
 
+// Outer iterations (one gap check + one improve/equilibrate pass over every
+// origin each; SolveBudget::max_iters caps them below this), and
+// equilibration passes per origin per outer iteration (each pass rebuilds
+// the min/max trees and shifts once at every unbalanced node).
+constexpr int kMaxIters = 500;
+constexpr int kMaxInner = 16;
+
 using BushScratch = SolverWorkspace::BushScratch;
 
 /// Commodities sharing a source, solved as one bush.
@@ -519,8 +526,8 @@ EquilibriumResult detail::bush_run(const NetworkInstance& inst,
   double best_gap = kInf;
   int since_improved = 0;
 
-  for (int iter = 1; iter <= opts.max_iters; ++iter) {
-    if (gate.over_iters(iter - 1)) break;  // budget cap below opts.max_iters
+  for (int iter = 1; iter <= kMaxIters; ++iter) {
+    if (gate.over_iters(iter - 1)) break;  // budget cap below kMaxIters
     if (gate.expired()) {
       result.status = SolveStatus::kDeadlineExceeded;
       break;
@@ -607,7 +614,7 @@ EquilibriumResult detail::bush_run(const NetworkInstance& inst,
             static_cast<std::int32_t>(i);
       }
       if (improve_bush(g, b, bw, ws.costs)) ++rebuilds;
-      for (int pass = 0; pass < opts.max_inner; ++pass) {
+      for (int pass = 0; pass < kMaxInner; ++pass) {
         if (!equilibrate_pass(g, table, objective, b, bw, ws.costs, shifts)) {
           break;
         }

@@ -15,6 +15,9 @@ namespace stackroute {
 
 namespace {
 
+/// Iteration cap; SolveBudget::max_iters caps the run below it.
+constexpr int kMaxIters = 100000;
+
 /// All-or-nothing assignment at the given costs: every commodity's demand
 /// on its cheapest path. Writes edge flows into `flow_out` (sized |E|),
 /// fills ws.paths/ws.dists, and returns c·y.
@@ -134,8 +137,8 @@ EquilibriumResult detail::fw_run(const NetworkInstance& inst,
   double best_gap = kInf;
   int since_improved = 0;
 
-  for (int iter = 1; iter <= opts.max_iters; ++iter) {
-    if (gate.over_iters(iter - 1)) break;  // budget cap below opts.max_iters
+  for (int iter = 1; iter <= kMaxIters; ++iter) {
+    if (gate.over_iters(iter - 1)) break;  // budget cap below kMaxIters
     if (gate.expired()) {
       result.status = SolveStatus::kDeadlineExceeded;
       break;
@@ -185,8 +188,8 @@ EquilibriumResult detail::fw_run(const NetworkInstance& inst,
       ws.direction[e] = ws.aon_flow[e] - result.edge_flow[e];
       if (ws.direction[e] != 0.0) ws.nonzero.push_back(static_cast<EdgeId>(e));
     }
-    double theta = 2.0 / (iter + 2.0);
-    if (opts.step_rule == FwStepRule::kExactLineSearch) {
+    double theta = 0.0;
+    {  // exact line search; the block bounds the line_search span
       // g'(theta) = sum_e d_e * cost_e(f + theta*d): increasing in theta.
       // Only edges with d_e != 0 contribute; the index list keeps each
       // bisection probe O(nnz) instead of O(m). On homogeneous-affine

@@ -21,8 +21,8 @@
 //                      city-scale TNTP networks where FW stalls.
 //
 // The backends are private run functions behind solve_equilibrium; their
-// headers (traffic_assignment.h, frank_wolfe.h, bush.h) only hold knobs and
-// warm payloads. solve_equilibrium owns the frame every solve shares:
+// headers (traffic_assignment.h, frank_wolfe.h, bush.h) only hold each
+// backend's stopping tolerance and warm payload. solve_equilibrium owns the frame every solve shares:
 // per-solve counter delta, the backend's trace span ("assign_traffic",
 // "frank_wolfe", "bush"), instance validation, latency compilation into
 // the caller's SolverWorkspace (the only scratch a solve uses), one
@@ -76,18 +76,19 @@ const char* equilibrium_backend_names() noexcept;
 EquilibriumBackend parse_equilibrium_backend(std::string_view name);
 
 /// One equilibrium solve, backend-agnostically: which backend, which
-/// convex program, per-backend knobs, one budget.
+/// convex program, each backend's stopping tolerance, one budget.
 struct EquilibriumRequest {
   EquilibriumBackend backend = EquilibriumBackend::kPathEqualization;
   FlowObjective objective = FlowObjective::kBeckmann;
-  /// Knobs of the backend that runs; the others are ignored.
+  /// Tolerance of the backend that runs; the others are ignored.
   AssignmentOptions assignment;
   FrankWolfeOptions frank_wolfe;
   BushOptions bush;
-  /// The solve's resource limits, whichever backend runs (iteration cap on
-  /// equalization steps / FW iterations / bush iterations, wall-clock
-  /// deadline, opt-in stall detection). Inactive by default; see status.h.
-  /// Pass an armed budget to share one deadline across several solves.
+  /// The solve's resource limits, whichever backend runs: the only
+  /// iteration cap (equalization steps / FW iterations / bush iterations),
+  /// wall-clock deadline, opt-in stall detection. Inactive by default; see
+  /// status.h. Pass an armed budget to share one deadline across several
+  /// solves.
   SolveBudget budget;
 };
 

@@ -1,6 +1,6 @@
 // Origin-based bush assignment (Dial's Algorithm B / iTAPAS style) — the
 // kBush backend of solve_equilibrium (solver/backend.h), which is its only
-// entry point; this header holds its knobs and its warm-state payload.
+// entry point; this header holds its tolerance and its warm-state payload.
 //
 // Groups commodities by origin and maintains, per origin, an acyclic
 // subgraph (a "bush") that carries all of that origin's flow. Each outer
@@ -32,15 +32,9 @@
 namespace stackroute {
 
 struct BushOptions {
-  /// Outer iterations (one gap check + one improve/equilibrate pass over
-  /// every origin each).
-  int max_iters = 500;
   /// Stop when (c·f − SPTT)/max(c·f, eps) <= rel_gap_tol. Tight by
   /// default: closing such gaps is this solver's purpose.
   double rel_gap_tol = 1e-10;
-  /// Equilibration passes per origin per outer iteration (each pass
-  /// rebuilds the min/max trees and shifts once at every unbalanced node).
-  int max_inner = 16;
 };
 
 /// One origin's bush: a topological order over the nodes it reaches, the

@@ -1,13 +1,12 @@
 // Frank–Wolfe (convex combinations) traffic assignment — the kFrankWolfe
 // backend of solve_equilibrium (solver/backend.h), which is its only entry
-// point; this header holds its knobs.
+// point; this header holds its tolerance.
 //
 // The classical method for the convex routing programs: linearize at the
 // current flow, route everything all-or-nothing on shortest paths
-// (Dijkstra per commodity, pool-parallel), then take the best convex
-// combination. Converges O(1/k) — kept as an independent cross-check of
-// the path-equilibration solver and as the ablation baseline for the
-// bench suite (exact vs harmonic step, FW vs equilibration).
+// (Dijkstra per commodity, pool-parallel), then step to the best convex
+// combination by exact line search. Converges O(1/k) — kept as an
+// independent cross-check of the path-equilibration and bush solvers.
 //
 // Warm start: the converged edge flow of a prior solve on the same network
 // (EquilibriumWarmState::fw_flow) is scaled by the total-demand ratio —
@@ -22,16 +21,9 @@
 
 namespace stackroute {
 
-enum class FwStepRule {
-  kExactLineSearch,  // 1-D convex minimization per iteration
-  kHarmonic,         // theta_k = 2/(k+2)
-};
-
 struct FrankWolfeOptions {
-  int max_iters = 100000;
   /// Stop when (c·f − c·y)/max(c·f, eps) <= rel_gap_tol, y the AON flow.
   double rel_gap_tol = 1e-6;
-  FwStepRule step_rule = FwStepRule::kExactLineSearch;
 };
 
 }  // namespace stackroute

@@ -46,8 +46,9 @@ inline SolveStatus worst_status(SolveStatus a, SolveStatus b) noexcept {
 /// constructed = inactive: solvers behave exactly as without a budget, so
 /// budget-free runs stay bitwise identical.
 struct SolveBudget {
-  /// Extra iteration cap on top of the solver's own option cap (FW
-  /// iterations, equilibration steps, root-finder probes). 0 = none.
+  /// The one user-settable iteration cap (FW iterations, bush iterations,
+  /// equalization steps, root-finder probes); the solver options carry
+  /// none. 0 = the solver's fixed safety cap only.
   long long max_iters = 0;
 
   /// Wall-clock allowance in milliseconds, relative to solve entry.

@@ -1,6 +1,6 @@
 // Path-equilibration traffic assignment — the kPathEqualization backend of
 // solve_equilibrium (solver/backend.h), which is its only entry point and
-// the library's default; this header holds its knobs and its warm-state
+// the library's default; this header holds its tolerance and its warm-state
 // payload.
 //
 // Solves the two convex routing programs of objective.h to high accuracy
@@ -30,10 +30,6 @@ namespace stackroute {
 struct AssignmentOptions {
   /// Path-cost equalization tolerance (absolute, on the latency scale).
   double tol = 1e-10;
-  /// Outer sweeps over commodities.
-  int max_sweeps = 2000;
-  /// Inner equalization steps per commodity per sweep.
-  int max_inner = 200;
 };
 
 /// Converged state of a prior path-equilibration solve on the *same* graph

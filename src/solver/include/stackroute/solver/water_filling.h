@@ -55,10 +55,9 @@ struct LinkAssignment {
   double supply_gap = 0.0;
 };
 
-/// Solves S(L) = demand as described above. Throws if demand is negative,
-/// no links are given, or the demand exceeds total capacity. The trailing
-/// knobs are all optional:
-///   tol         tolerance on the level;
+/// Solves S(L) = demand as described above, to a fixed level tolerance of
+/// 1e-13. Throws if demand is negative, no links are given, or the demand
+/// exceeds total capacity. The trailing arguments are all optional:
 ///   ws          workspace reused across calls (null = a private one; see
 ///               workspace.h): the links compile into ws->table once per
 ///               call (skipped when the link set is pointer-identical to
@@ -71,9 +70,9 @@ struct LinkAssignment {
 ///               instead of bisecting the full cold bracket, cutting the
 ///               S(L) evaluation count severalfold on dense demand sweeps.
 ///               Any non-finite or out-of-range hint falls back to the cold
-///               path; the result agrees with the cold solve to `tol`
-///               either way (both brackets isolate the same root of the
-///               same monotone function);
+///               path; the result agrees with the cold solve to the
+///               tolerance either way (both brackets isolate the same root
+///               of the same monotone function);
 ///   budget      `max_iters` caps the number of S(L) evaluations; the
 ///               deadline is polled once per evaluation. A budget hit or a
 ///               non-finite supply value degrades the result (status +
@@ -81,8 +80,7 @@ struct LinkAssignment {
 ///               warm hint falls back to the cold bracket (counted as a
 ///               warm_fallback) before degrading.
 LinkAssignment water_fill(std::span<const LatencyPtr> links, double demand,
-                          LevelKind kind, double tol = 1e-13,
-                          SolverWorkspace* ws = nullptr,
+                          LevelKind kind, SolverWorkspace* ws = nullptr,
                           double level_hint = kNoLevelHint,
                           const SolveBudget& budget = {});
 

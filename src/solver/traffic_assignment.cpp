@@ -15,6 +15,11 @@ namespace stackroute {
 
 namespace {
 
+/// Outer sweeps over commodities, and equalization steps per commodity per
+/// sweep. SolveBudget::max_iters caps the total steps below these.
+constexpr int kMaxSweeps = 2000;
+constexpr int kMaxInner = 200;
+
 // Costs of paths `a` and `b` when their flow is perturbed by delta on the
 // edges in `delta_mask` (+1: gains delta, -1: loses delta, 0: unchanged).
 // The two compensated sums are interleaved: each is a serial dependency
@@ -509,11 +514,11 @@ EquilibriumResult detail::assign_run(const NetworkInstance& inst,
     double best_spread = kInf;
     int since_improved = 0;
     bool out_of_budget = false;
-    for (int sweep = 1; sweep <= opts.max_sweeps && !out_of_budget; ++sweep) {
+    for (int sweep = 1; sweep <= kMaxSweeps && !out_of_budget; ++sweep) {
       obs::ScopedSpan sweep_span("equalize_sweep");
       double spread = 0.0;
       for (std::size_t i = 0; i < k && !out_of_budget; ++i) {
-        for (int inner = 0; inner < opts.max_inner; ++inner) {
+        for (int inner = 0; inner < kMaxInner; ++inner) {
           // Each equalization step is one Dijkstra plus one bisected pair
           // move — the natural granularity for the cooperative budget.
           if (gate.over_iters(steps)) {

@@ -16,6 +16,9 @@
 namespace stackroute {
 
 namespace {
+// Tolerance on the level.
+constexpr double kTol = 1e-13;
+
 // Internal control-flow exception: a budget hit or non-finite supply value
 // unwinds the root-finding machinery to the one place that can assemble a
 // best-so-far result. Never escapes water_fill.
@@ -25,7 +28,7 @@ struct SupplyInterrupt {
 }  // namespace
 
 LinkAssignment water_fill(std::span<const LatencyPtr> links, double demand,
-                          LevelKind kind, double tol, SolverWorkspace* ws,
+                          LevelKind kind, SolverWorkspace* ws,
                           double level_hint, const SolveBudget& budget) {
   SolverWorkspace own;
   if (ws == nullptr) ws = &own;
@@ -142,7 +145,7 @@ LinkAssignment water_fill(std::span<const LatencyPtr> links, double demand,
         SR_REQUIRE(deficit(hi) >= 0.0,
                    "water_fill: demand exceeds total link capacity");
         const double scale = std::fmax(1.0, std::fabs(hi));
-        return bisect_increasing(deficit, lo, hi, tol * scale);
+        return bisect_increasing(deficit, lo, hi, kTol * scale);
       };
       if (std::isfinite(level_hint)) {
         obs::count(&obs::SolveCounters::warm_attempts);
@@ -192,7 +195,7 @@ LinkAssignment water_fill(std::span<const LatencyPtr> links, double demand,
           }
           const double scale = std::fmax(1.0, std::fabs(whi));
           level =
-              illinois_increasing(deficit, wlo, whi, flo, fhi, tol * scale);
+              illinois_increasing(deficit, wlo, whi, flo, fhi, kTol * scale);
         } catch (const SupplyInterrupt& interrupt) {
           if (interrupt.status != SolveStatus::kNumericFailure) throw;
           obs::count(&obs::SolveCounters::warm_fallbacks);
@@ -237,7 +240,7 @@ LinkAssignment water_fill(std::span<const LatencyPtr> links, double demand,
   if (plateau) {
     std::vector<std::size_t> at_plateau;
     for (std::size_t i = 0; i < m; ++i) {
-      if (table.is_constant(i) && level_at_zero(i) <= const_level + tol) {
+      if (table.is_constant(i) && level_at_zero(i) <= const_level + kTol) {
         at_plateau.push_back(i);
       }
     }

@@ -1,6 +1,5 @@
-// Extensions beyond the first pass: weak vs strong k-commodity strategies,
-// the greedy-peel free-flow ablation, and the Stackelberg improvement
-// threshold.
+// Extensions beyond the first pass: weak vs strong k-commodity strategies
+// and the Stackelberg improvement threshold.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -49,72 +48,6 @@ TEST(WeakStrong, WeakBetaIsTheWorstCommodityFraction) {
                                  inst.commodities[i].demand);
   }
   EXPECT_NEAR(r.weak_beta, worst, 1e-12);
-}
-
-Graph reroute_diamond() {
-  // s=0, a=1, b=2, t=3. Capacities below make the widest-first walk
-  // saturate b->t through a->b, stranding capacity that max-flow recovers
-  // by rerouting: greedy 0.5 vs max-flow 0.7.
-  Graph g(4);
-  g.add_edge(0, 1, make_linear(1.0));  // e0: s->a cap 1.0
-  g.add_edge(1, 2, make_linear(1.0));  // e1: a->b cap 0.8
-  g.add_edge(1, 3, make_linear(1.0));  // e2: a->t cap 0.2
-  g.add_edge(2, 3, make_linear(1.0));  // e3: b->t cap 0.5
-  g.add_edge(0, 2, make_linear(1.0));  // e4: s->b cap 0.1
-  return g;
-}
-
-TEST(GreedyPeel, StrictlyWorseThanMaxFlowOnRerouteDiamond) {
-  const Graph g = reroute_diamond();
-  const std::vector<double> caps = {1.0, 0.8, 0.2, 0.5, 0.1};
-  const MaxFlowResult exact = max_flow(g, 0, 3, caps, kInf);
-  const MaxFlowResult greedy = greedy_peel_flow(g, 0, 3, caps, kInf);
-  EXPECT_NEAR(exact.value, 0.7, 1e-12);
-  EXPECT_NEAR(greedy.value, 0.5, 1e-12);
-  EXPECT_LT(greedy.value, exact.value);
-}
-
-TEST(GreedyPeel, MatchesMaxFlowOnBalancedCapacities) {
-  // Capacities that themselves form a flow decompose fully either way.
-  const Graph g = reroute_diamond();
-  const std::vector<double> caps = {1.0, 0.8, 0.2, 0.9, 0.1};
-  const MaxFlowResult exact = max_flow(g, 0, 3, caps, kInf);
-  const MaxFlowResult greedy = greedy_peel_flow(g, 0, 3, caps, kInf);
-  EXPECT_NEAR(exact.value, 1.1, 1e-12);
-  EXPECT_NEAR(greedy.value, 1.1, 1e-12);
-}
-
-TEST(GreedyPeel, RespectsLimit) {
-  const Graph g = reroute_diamond();
-  const std::vector<double> caps = {1.0, 0.8, 0.2, 0.9, 0.1};
-  const MaxFlowResult greedy = greedy_peel_flow(g, 0, 3, caps, 0.3);
-  EXPECT_NEAR(greedy.value, 0.3, 1e-12);
-}
-
-TEST(GreedyPeel, MopBetaNeverBelowMaxFlowBeta) {
-  // The ablation can only over-control, never under-control.
-  Rng rng(182);
-  for (int trial = 0; trial < 8; ++trial) {
-    const NetworkInstance inst = random_layered_dag(rng, 3, 3, 0.5, 1.5);
-    MopOptions exact_opts;
-    exact_opts.verify_induced = false;
-    MopOptions greedy_opts = exact_opts;
-    greedy_opts.free_flow_method = FreeFlowMethod::kGreedyPeel;
-    const double beta_exact = mop(inst, exact_opts).beta;
-    const double beta_greedy = mop(inst, greedy_opts).beta;
-    EXPECT_GE(beta_greedy, beta_exact - 1e-7) << "trial " << trial;
-  }
-}
-
-TEST(GreedyPeel, MopStillInducesOptimum) {
-  // Over-controlling is wasteful but must still induce the optimum: the
-  // extra Leader flow sits on shortest paths at its optimum share.
-  const NetworkInstance inst = fig7_instance(0.05);
-  MopOptions opts;
-  opts.free_flow_method = FreeFlowMethod::kGreedyPeel;
-  const MopResult r = mop(inst, opts);
-  EXPECT_LT(r.induced_residual, 1e-5);
-  EXPECT_NEAR(r.induced_cost, r.optimum_cost, 1e-5);
 }
 
 TEST(ImprovementThreshold, TwoLinkClosedForm) {

@@ -263,7 +263,7 @@ TEST(NetworkStrategy, PrecomputedOptimumOverloadAgrees) {
     const NetworkStrategy s = scale_strategy(net, alpha, opt);
     const NetworkStackelbergOutcome convenient = evaluate_strategy(net, s);
     const NetworkStackelbergOutcome precomputed =
-        evaluate_strategy(net, s, opt_cost, {}, ws, nullptr);
+        evaluate_strategy(net, s, opt_cost, ws, nullptr);
     EXPECT_NEAR(convenient.cost, precomputed.cost,
                 1e-9 * std::fmax(1.0, convenient.cost));
     EXPECT_NEAR(convenient.ratio, precomputed.ratio, 1e-9);
@@ -285,7 +285,7 @@ TEST(NetworkStrategy, WarmStartedChainAgreesWithCold) {
     const double alpha = 0.1 * k;
     const NetworkStrategy s = llf_strategy(net, alpha, opt);
     const NetworkStackelbergOutcome chained =
-        evaluate_strategy(net, s, opt_cost, {}, ws, &warm);
+        evaluate_strategy(net, s, opt_cost, ws, &warm);
     const NetworkStackelbergOutcome cold = evaluate_strategy(net, s);
     EXPECT_NEAR(chained.cost, cold.cost, 1e-6 * std::fmax(1.0, cold.cost))
         << alpha;
@@ -337,7 +337,7 @@ TEST(NetworkStrategy, ScaleAndLlfNeverBeatMop) {
       const NetworkStrategy s = use_llf ? llf_strategy(net, alpha, opt)
                                         : scale_strategy(net, alpha, opt);
       const NetworkStackelbergOutcome out =
-          evaluate_strategy(net, s, opt_cost, {}, ws, nullptr);
+          evaluate_strategy(net, s, opt_cost, ws, nullptr);
       EXPECT_GE(out.cost, mr.induced_cost * (1.0 - 1e-7))
           << "alpha " << alpha << " llf " << use_llf;
     }
@@ -359,7 +359,7 @@ TEST(NetworkStrategy, ScaleAtModerateAlphaCanBeWorseThanAloof) {
   SolverWorkspace ws;
   const NetworkStrategy s = scale_strategy(net, 0.65, opt);
   const NetworkStackelbergOutcome out =
-      evaluate_strategy(net, s, opt_cost, {}, ws, nullptr);
+      evaluate_strategy(net, s, opt_cost, ws, nullptr);
   EXPECT_GT(out.cost, nash_cost * 1.001);
 }
 
@@ -382,7 +382,7 @@ TEST(NetworkStrategy, NoTestedAlphaBelowOneMatchesMopOnThisInstance) {
       const NetworkStrategy s = use_llf ? llf_strategy(net, alpha, opt)
                                         : scale_strategy(net, alpha, opt);
       const NetworkStackelbergOutcome out =
-          evaluate_strategy(net, s, opt_cost, {}, ws, nullptr);
+          evaluate_strategy(net, s, opt_cost, ws, nullptr);
       EXPECT_GT(out.ratio, 1.0 + 1e-3)
           << "alpha " << alpha << " llf " << use_llf;
     }

@@ -227,17 +227,6 @@ TEST(EngineTest, BudgetDegradesInsteadOfFailing) {
   EXPECT_EQ(eng.stats().degraded, 1u);
 }
 
-TEST(EngineTest, DefaultBudgetAppliesWhenRequestHasNone) {
-  EngineOptions opts;
-  opts.default_budget.max_iters = 1;
-  Engine eng(opts);
-  SolveRequest req = request(RequestKind::kEquilibrium, grid_instance(2.0));
-  req.backend = EquilibriumBackend::kFrankWolfe;
-  const SolveResponse r = eng.solve(req);
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_FALSE(solve_ok(r.status));
-}
-
 TEST(EngineTest, CountersCollectedWhenEnabled) {
   EngineOptions opts;
   opts.collect_counters = true;

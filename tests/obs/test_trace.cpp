@@ -126,7 +126,7 @@ TEST(Counters, SolverResultsSnapshotTheirOwnWork) {
   // Without a sink the result counters stay all-zero.
   EquilibriumRequest fw_req;
   fw_req.backend = EquilibriumBackend::kFrankWolfe;
-  fw_req.frank_wolfe.max_iters = 10;
+  fw_req.budget.max_iters = 10;
   fw_req.frank_wolfe.rel_gap_tol = 0.0;
   EXPECT_FALSE(solve_equilibrium(inst, fw_req).counters.any());
 
@@ -161,7 +161,7 @@ TEST(Counters, MonotoneInTheIterationBudget) {
   auto run = [&](int iters) {
     EquilibriumRequest req;
     req.backend = EquilibriumBackend::kFrankWolfe;
-    req.frank_wolfe.max_iters = iters;
+    req.budget.max_iters = iters;
     req.frank_wolfe.rel_gap_tol = 0.0;
     obs::SolveCounters sink;
     obs::CountersScope scope(sink);
@@ -184,7 +184,7 @@ TEST(Counters, WaterFillWarmHintAccounting) {
   auto run = [&](double hint) {
     obs::SolveCounters sink;
     obs::CountersScope scope(sink);
-    (void)water_fill(links, 3.0, LevelKind::kLatency, 1e-12, &ws, hint);
+    (void)water_fill(links, 3.0, LevelKind::kLatency, &ws, hint);
     return sink;
   };
   // NaN = cold: no attempt at all.
@@ -358,7 +358,7 @@ TEST(SolverTracing, SolversEmitSpansAndSamples) {
     (void)solve_equilibrium(inst, FlowObjective::kBeckmann);
     EquilibriumRequest req;
     req.backend = EquilibriumBackend::kFrankWolfe;
-    req.frank_wolfe.max_iters = 5;
+    req.budget.max_iters = 5;
     req.frank_wolfe.rel_gap_tol = 0.0;
     (void)solve_equilibrium(inst, req);
   }

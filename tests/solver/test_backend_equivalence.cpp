@@ -235,7 +235,7 @@ TEST(Bush, HonestIterLimitStatus) {
   Rng rng(3);
   const NetworkInstance inst = grid_city(rng, 4, 4, 3.0);
   EquilibriumRequest req = request(kBush);
-  req.bush.max_iters = 1;
+  req.budget.max_iters = 1;
   req.bush.rel_gap_tol = 0.0;
   const EquilibriumResult r = solve_equilibrium(inst, req);
   EXPECT_FALSE(solve_ok(r.status));

@@ -61,32 +61,16 @@ TEST(FrankWolfe, AgreesWithPathEquilibrationOnRandomGrid) {
 TEST(FrankWolfe, GapDecreasesWithMoreIterations) {
   Rng rng(72);
   const NetworkInstance inst = grid_city(rng, 4, 4, 3.0);
-  FrankWolfeOptions coarse;
-  coarse.max_iters = 30;
-  coarse.rel_gap_tol = 0.0;
-  FrankWolfeOptions fine = coarse;
-  fine.max_iters = 3000;
-  const auto a =
-      solve_equilibrium(inst, fw_request(FlowObjective::kBeckmann, coarse));
-  const auto b =
-      solve_equilibrium(inst, fw_request(FlowObjective::kBeckmann, fine));
+  FrankWolfeOptions opts;
+  opts.rel_gap_tol = 0.0;
+  EquilibriumRequest coarse = fw_request(FlowObjective::kBeckmann, opts);
+  coarse.budget.max_iters = 30;
+  EquilibriumRequest fine = coarse;
+  fine.budget.max_iters = 3000;
+  const auto a = solve_equilibrium(inst, coarse);
+  const auto b = solve_equilibrium(inst, fine);
   EXPECT_LT(b.rel_gap, a.rel_gap);
   EXPECT_LE(b.objective, a.objective + 1e-12);
-}
-
-TEST(FrankWolfe, ExactLineSearchBeatsHarmonicAtEqualBudget) {
-  Rng rng(73);
-  const NetworkInstance inst = grid_city(rng, 4, 4, 3.0);
-  FrankWolfeOptions exact;
-  exact.max_iters = 200;
-  exact.rel_gap_tol = 0.0;
-  FrankWolfeOptions harmonic = exact;
-  harmonic.step_rule = FwStepRule::kHarmonic;
-  const auto a =
-      solve_equilibrium(inst, fw_request(FlowObjective::kBeckmann, exact));
-  const auto b =
-      solve_equilibrium(inst, fw_request(FlowObjective::kBeckmann, harmonic));
-  EXPECT_LE(a.objective, b.objective + 1e-12);
 }
 
 TEST(FrankWolfe, PreloadMatchesPathEquilibration) {

@@ -103,7 +103,6 @@ TEST(FrankWolfe, IterCapDegradesWithHonestGap) {
   EquilibriumRequest req;
   req.backend = EquilibriumBackend::kFrankWolfe;
   req.frank_wolfe.rel_gap_tol = 1e-10;
-  req.frank_wolfe.step_rule = FwStepRule::kHarmonic;
   req.budget.max_iters = 2;
   const EquilibriumResult r = solve_equilibrium(inst, req);
   EXPECT_EQ(r.status, SolveStatus::kIterLimit);
@@ -155,7 +154,7 @@ TEST(AssignTraffic, UnbudgetedRunsMatchPreBudgetBehavior) {
   const EquilibriumResult r = solve_equilibrium(inst, FlowObjective::kBeckmann);
   EXPECT_EQ(r.status, SolveStatus::kConverged);
   EXPECT_TRUE(solve_ok(r.status));
-  EXPECT_LE(r.spread, AssignmentOptions{}.tol);
+  EXPECT_LE(r.spread, EquilibriumRequest{}.assignment.tol);
 }
 
 TEST(WaterFill, EvalCapDegradesWithSupplyGap) {
@@ -164,8 +163,8 @@ TEST(WaterFill, EvalCapDegradesWithSupplyGap) {
   SolveBudget budget;
   budget.max_iters = 1;  // one S(L) probe: cannot bracket, let alone refine
   const LinkAssignment r =
-      water_fill(m.links, m.demand, LevelKind::kLatency, 1e-13, &ws,
-                 std::nan(""), budget);
+      water_fill(m.links, m.demand, LevelKind::kLatency, &ws, std::nan(""),
+                 budget);
   EXPECT_EQ(r.status, SolveStatus::kIterLimit);
   EXPECT_TRUE(std::isfinite(r.level));
   for (double f : r.flows) EXPECT_TRUE(std::isfinite(f));
@@ -224,7 +223,7 @@ TEST(WaterFill, InjectedNanDegradesColdSolveWithoutThrowing) {
 
   SolverWorkspace ws;
   const LinkAssignment r = water_fill(
-      m.links, m.demand, LevelKind::kLatency, 1e-13, &ws, std::nan(""), {});
+      m.links, m.demand, LevelKind::kLatency, &ws, std::nan(""), {});
   EXPECT_EQ(r.status, SolveStatus::kNumericFailure);
   EXPECT_TRUE(std::isfinite(r.level));
   for (double f : r.flows) EXPECT_TRUE(std::isfinite(f));
@@ -239,7 +238,7 @@ TEST(WaterFill, WarmGuardFallsBackColdAndCountsIt) {
   SolverWorkspace ws;
   // Converged level of the clean system, to use as a warm hint.
   const LinkAssignment clean =
-      water_fill(m.links, m.demand, LevelKind::kLatency, 1e-13, &ws);
+      water_fill(m.links, m.demand, LevelKind::kLatency, &ws);
   ASSERT_EQ(clean.status, SolveStatus::kConverged);
 
   fault::TaskFaults tf;
@@ -250,9 +249,9 @@ TEST(WaterFill, WarmGuardFallsBackColdAndCountsIt) {
   {
     obs::CountersScope counters(sink);
     fault::FaultScope scope(&tf, 0);
-    const LinkAssignment r =
-        water_fill(m.links, m.demand, LevelKind::kLatency, 1e-13, &ws,
-                   clean.level, {});
+    const LinkAssignment r = water_fill(m.links, m.demand,
+                                        LevelKind::kLatency, &ws, clean.level,
+                                        {});
     // The warm guard retried cold; the single fault event was already
     // consumed, so the cold solve converges to the clean answer.
     EXPECT_EQ(r.status, SolveStatus::kConverged);
@@ -278,8 +277,7 @@ TEST(SolveNash, ParallelLinksStatusPropagates) {
   SolverWorkspace ws;
   SolveBudget budget;
   budget.max_iters = 1;
-  const LinkAssignment a =
-      solve_nash(m, 1e-13, &ws, std::nan(""), budget);
+  const LinkAssignment a = solve_nash(m, &ws, std::nan(""), budget);
   EXPECT_EQ(a.status, SolveStatus::kIterLimit);
   EXPECT_TRUE(std::isfinite(a.level));
 }

@@ -183,12 +183,11 @@ TEST(WaterFill, LevelHintAgreesWithColdSolve) {
     links.push_back(make_affine(rng.uniform(0.3, 3.0), rng.uniform(0.0, 1.5)));
   }
   SolverWorkspace ws;
-  const auto cold = water_fill(links, 4.0, LevelKind::kLatency, 1e-13, &ws);
+  const auto cold = water_fill(links, 4.0, LevelKind::kLatency, &ws);
   for (double hint :
        {cold.level, 0.5 * cold.level, 2.0 * cold.level,
         std::numeric_limits<double>::quiet_NaN()}) {
-    const auto warm = water_fill(links, 4.0, LevelKind::kLatency, 1e-13, &ws,
-                                 hint);
+    const auto warm = water_fill(links, 4.0, LevelKind::kLatency, &ws, hint);
     EXPECT_NEAR(warm.level, cold.level, 1e-10) << "hint " << hint;
     for (std::size_t i = 0; i < links.size(); ++i) {
       EXPECT_NEAR(warm.flows[i], cold.flows[i], 1e-8) << "hint " << hint;
@@ -201,11 +200,10 @@ TEST(WaterFill, LevelHintRespectsConstantPlateau) {
   // any (even absurd) hint.
   const std::vector<LatencyPtr> links = {make_linear(1.0), make_constant(0.5)};
   SolverWorkspace ws;
-  const auto cold = water_fill(links, 3.0, LevelKind::kLatency, 1e-13, &ws);
+  const auto cold = water_fill(links, 3.0, LevelKind::kLatency, &ws);
   ASSERT_TRUE(cold.constant_plateau);
   for (double hint : {0.01, 0.5, 100.0}) {
-    const auto warm =
-        water_fill(links, 3.0, LevelKind::kLatency, 1e-13, &ws, hint);
+    const auto warm = water_fill(links, 3.0, LevelKind::kLatency, &ws, hint);
     EXPECT_TRUE(warm.constant_plateau);
     EXPECT_DOUBLE_EQ(warm.level, cold.level);
     EXPECT_DOUBLE_EQ(warm.flows[0], cold.flows[0]);
@@ -216,8 +214,7 @@ TEST(WaterFill, LevelHintRespectsConstantPlateau) {
 TEST(WaterFill, LevelHintStillDetectsInfeasibleDemand) {
   const std::vector<LatencyPtr> links = {make_mm1(1.0), make_mm1(1.5)};
   SolverWorkspace ws;
-  EXPECT_THROW(water_fill(links, 4.0, LevelKind::kLatency, 1e-13, &ws, 3.0),
-               Error);
+  EXPECT_THROW(water_fill(links, 4.0, LevelKind::kLatency, &ws, 3.0), Error);
 }
 
 }  // namespace
