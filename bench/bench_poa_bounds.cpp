@@ -40,8 +40,9 @@ int main() {
 
     // keep_going = false: a failed task would otherwise drop out of the
     // worst-rho max as NaN while the row still claims the full count.
-    const sweep::SweepResult result =
-        sweep::SweepRunner({.digits = 6, .keep_going = false}).run(spec);
+    sweep::SweepOptions options;
+    options.keep_going = false;
+    const sweep::SweepResult result = sweep::SweepRunner(options).run(spec);
     double worst = 0.0;
     for (const auto& rec : result.records) {
       worst = std::max(worst, rec.metrics[0]);

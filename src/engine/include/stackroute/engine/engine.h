@@ -75,7 +75,7 @@ struct SolveRequest {
   /// Session id from open_session(); 0 = sessionless (pooled workspace,
   /// no warm carry-over).
   std::uint64_t session = 0;
-  /// Caller tag, echoed verbatim in the response.
+  /// Caller tag, echoed unchanged in the response.
   std::uint64_t id = 0;
   /// Optional cancellation flag, owned by the caller and set from any
   /// thread (e.g. a serve front end noticing the client disconnected). The

@@ -31,9 +31,9 @@ namespace stackroute::engine {
 using Instance = std::variant<ParallelLinks, NetworkInstance>;
 
 /// Deep value equality of two latency functions: same kind, same
-/// parameters, wrapper chains compared recursively. Opaque user subclasses
-/// compare by kind + params only — the honest best available through the
-/// virtual interface.
+/// parameters, wrapper chains compared recursively. A subclass outside
+/// families.h compares by kind + params only — the honest best available
+/// through the virtual interface.
 bool latency_equal(const LatencyFunction& a, const LatencyFunction& b);
 
 /// How warm_compatible compares two latency functions. Pointer identity is

@@ -1,30 +1,11 @@
 #include "stackroute/engine/instance.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "stackroute/latency/families.h"
 
 namespace stackroute::engine {
-
-namespace {
-
-/// Peels one wrapper level; null when `f` is not a known wrapper class.
-/// dynamic_cast (not kind()) so an unknown subclass *claiming* a wrapper
-/// kind cannot be dereferenced as one.
-const LatencyFunction* wrapper_base(const LatencyFunction& f) {
-  if (const auto* s = dynamic_cast<const ShiftedLatency*>(&f)) {
-    return s->base().get();
-  }
-  if (const auto* s = dynamic_cast<const ScaledLatency*>(&f)) {
-    return s->base().get();
-  }
-  if (const auto* s = dynamic_cast<const OffsetLatency*>(&f)) {
-    return s->base().get();
-  }
-  return nullptr;
-}
-
-}  // namespace
 
 bool latency_equal(const LatencyFunction& a, const LatencyFunction& b) {
   if (&a == &b) return true;
@@ -38,10 +19,10 @@ bool latency_equal(const LatencyFunction& a, const LatencyFunction& b) {
     // vice versa.
     if (pa[i] != pb[i] && !(pa[i] == 0.0 && pb[i] == 0.0)) return false;
   }
-  const LatencyFunction* ba = wrapper_base(a);
-  const LatencyFunction* bb = wrapper_base(b);
-  if ((ba == nullptr) != (bb == nullptr)) return false;
-  return ba == nullptr || latency_equal(*ba, *bb);
+  const std::optional<WrapperLevel> wa = peel_wrapper(a);
+  const std::optional<WrapperLevel> wb = peel_wrapper(b);
+  if (wa.has_value() != wb.has_value()) return false;
+  return !wa || latency_equal(*wa->base, *wb->base);
 }
 
 bool warm_compatible(const Instance& prev, const Instance& cur,
@@ -87,8 +68,8 @@ void mix_latency(StableHash& h, const LatencyFunction& f) {
   const std::vector<double> params = f.params();
   h.mix(params.size());
   for (const double p : params) h.mix_double(p);
-  if (const LatencyFunction* base = wrapper_base(f)) {
-    mix_latency(h, *base);
+  if (const std::optional<WrapperLevel> w = peel_wrapper(f)) {
+    mix_latency(h, *w->base);
   } else {
     // Terminator word: a wrapper chain and its flattened lookalike (e.g.
     // Shifted(Affine) vs a 3-parameter custom class reusing the kind tag)

@@ -1,6 +1,6 @@
 // Minimal table builder: every bench prints its figure/table reproduction
 // as markdown (and optionally CSV) through this, so EXPERIMENTS.md rows
-// can be pasted verbatim.
+// can be pasted as is.
 #pragma once
 
 #include <string>

@@ -2,16 +2,20 @@
 //
 // Every family validates its parameters at construction (throwing
 // stackroute::Error), provides closed-form integrals, and overrides the
-// inverses with closed forms wherever one exists. Parameter encodings for
+// inverses with closed forms wherever one exists; the formulas themselves
+// live in kernels.h, shared with LatencyTable. Parameter encodings for
 // params()/make_latency():
 //   Constant    {b}
 //   Affine      {a, b}                 ℓ(x) = a·x + b
 //   Polynomial  {c0, c1, ..., cd}      ℓ(x) = Σ c_k x^k
 //   BPR         {t0, cap, B, p}        ℓ(x) = t0·(1 + B·(x/cap)^p)
 //   MM1         {mu}                   ℓ(x) = 1/(mu − x)
-// Shifted/Scaled wrap another latency and are not serializable.
+// Shifted/Offset wrap another latency and are not serializable.
 #pragma once
 
+#include <optional>
+
+#include "stackroute/latency/kernels.h"
 #include "stackroute/latency/latency.h"
 
 namespace stackroute {
@@ -25,7 +29,9 @@ class ConstantLatency final : public LatencyFunction {
 
   double value(double) const override { return b_; }
   double derivative(double) const override { return 0.0; }
-  double integral(double x) const override { return b_ * x; }
+  double integral(double x) const override {
+    return kernels::constant_integral(b_, x);
+  }
   double inverse(double target) const override;
   double inverse_marginal(double target) const override;
   bool is_constant() const override { return true; }
@@ -42,9 +48,13 @@ class AffineLatency final : public LatencyFunction {
  public:
   AffineLatency(double slope, double intercept);
 
-  double value(double x) const override { return a_ * x + b_; }
+  double value(double x) const override {
+    return kernels::affine_value(a_, b_, x);
+  }
   double derivative(double) const override { return a_; }
-  double integral(double x) const override { return 0.5 * a_ * x * x + b_ * x; }
+  double integral(double x) const override {
+    return kernels::affine_integral(a_, b_, x);
+  }
   double inverse(double target) const override;
   double inverse_marginal(double target) const override;
   bool is_constant() const override { return a_ == 0.0; }
@@ -65,9 +75,15 @@ class PolynomialLatency final : public LatencyFunction {
  public:
   explicit PolynomialLatency(std::vector<double> coeffs);
 
-  double value(double x) const override;
-  double derivative(double x) const override;
-  double integral(double x) const override;
+  double value(double x) const override {
+    return kernels::poly_value(coeffs_, x);
+  }
+  double derivative(double x) const override {
+    return kernels::poly_derivative(coeffs_, x);
+  }
+  double integral(double x) const override {
+    return kernels::poly_integral(coeffs_, x);
+  }
   bool is_constant() const override;
   LatencyKind kind() const override { return LatencyKind::kPolynomial; }
   std::vector<double> params() const override { return coeffs_; }
@@ -84,33 +100,51 @@ class BprLatency final : public LatencyFunction {
   BprLatency(double free_flow_time, double capacity, double b = 0.15,
              double power = 4.0);
 
-  double value(double x) const override;
-  double derivative(double x) const override;
-  double integral(double x) const override;
-  double inverse(double target) const override;
-  double inverse_marginal(double target) const override;
+  double value(double x) const override {
+    return kernels::bpr_value(t0_, cap_, b_, p_, ip_, x);
+  }
+  double derivative(double x) const override {
+    return kernels::bpr_derivative(t0_, cap_, b_, p_, ip_, x);
+  }
+  double integral(double x) const override {
+    return kernels::bpr_integral(t0_, cap_, b_, p_, ip_, x);
+  }
+  double inverse(double target) const override {
+    return kernels::bpr_inverse(t0_, cap_, b_, p_, target);
+  }
+  double inverse_marginal(double target) const override {
+    return kernels::bpr_inverse_marginal(t0_, cap_, b_, p_, target);
+  }
   LatencyKind kind() const override { return LatencyKind::kBpr; }
   std::vector<double> params() const override { return {t0_, cap_, b_, p_}; }
   std::string describe() const override;
 
  private:
   double t0_, cap_, b_, p_;
-  int ip_ = 0;  // p_ when it is a small integer (the common case), else 0
+  int ip_;  // kernels::bpr_int_power(p_)
 };
 
 /// M/M/1 queueing delay ℓ(x) = 1/(mu − x) on [0, mu). To keep intermediate
 /// solver iterates finite (Frank–Wolfe line-search endpoints can exceed mu)
-/// the function continues C¹-linearly beyond x_break = mu·(1 − 1e-7); every
+/// the function continues C¹-linearly beyond kernels::mm1_break(mu); every
 /// feasible equilibrium with demand < mu lies far below the break point.
 class Mm1Latency final : public LatencyFunction {
  public:
   explicit Mm1Latency(double mu);
 
-  double value(double x) const override;
-  double derivative(double x) const override;
-  double integral(double x) const override;
-  double inverse(double target) const override;
-  double inverse_marginal(double target) const override;
+  double value(double x) const override { return kernels::mm1_value(mu_, x); }
+  double derivative(double x) const override {
+    return kernels::mm1_derivative(mu_, x);
+  }
+  double integral(double x) const override {
+    return kernels::mm1_integral(mu_, x);
+  }
+  double inverse(double target) const override {
+    return kernels::mm1_inverse(mu_, target);
+  }
+  double inverse_marginal(double target) const override {
+    return kernels::mm1_inverse_marginal(mu_, target);
+  }
   double capacity() const override { return mu_; }
   LatencyKind kind() const override { return LatencyKind::kMm1; }
   std::vector<double> params() const override { return {mu_}; }
@@ -119,8 +153,6 @@ class Mm1Latency final : public LatencyFunction {
   [[nodiscard]] double mu() const { return mu_; }
 
  private:
-  [[nodiscard]] double x_break() const;
-
   double mu_;
 };
 
@@ -167,10 +199,14 @@ class OffsetLatency final : public LatencyFunction {
   double integral(double x) const override {
     return base_->integral(x) + c_ * x;
   }
+  // (b + c) − c can round above b, so the clamp at ℓ(0) (= marginal(0)) is
+  // taken on the offset latency itself rather than left to the base.
   double inverse(double target) const override {
+    if (target <= value(0.0)) return 0.0;
     return base_->inverse(target - c_);
   }
   double inverse_marginal(double target) const override {
+    if (target <= value(0.0)) return 0.0;
     return base_->inverse_marginal(target - c_);
   }
   bool is_constant() const override { return base_->is_constant(); }
@@ -187,35 +223,19 @@ class OffsetLatency final : public LatencyFunction {
   double c_;
 };
 
-/// ℓ̃(x) = factor · base(x), factor > 0.
-class ScaledLatency final : public LatencyFunction {
- public:
-  ScaledLatency(LatencyPtr base, double factor);
-
-  double value(double x) const override { return c_ * base_->value(x); }
-  double derivative(double x) const override {
-    return c_ * base_->derivative(x);
-  }
-  double integral(double x) const override { return c_ * base_->integral(x); }
-  double inverse(double target) const override {
-    return base_->inverse(target / c_);
-  }
-  double inverse_marginal(double target) const override {
-    return base_->inverse_marginal(target / c_);
-  }
-  bool is_constant() const override { return base_->is_constant(); }
-  double capacity() const override { return base_->capacity(); }
-  LatencyKind kind() const override { return LatencyKind::kScaled; }
-  std::vector<double> params() const override { return {c_}; }
-  std::string describe() const override;
-
-  [[nodiscard]] const LatencyPtr& base() const { return base_; }
-  [[nodiscard]] double factor() const { return c_; }
-
- private:
-  LatencyPtr base_;
-  double c_;
+/// One peeled level of a wrapper chain: `f` is ShiftedLatency(base, param)
+/// when kind is kShifted, OffsetLatency(base, param) when kind is kOffset.
+struct WrapperLevel {
+  LatencyKind kind;
+  double param;
+  const LatencyFunction* base;
 };
+
+/// Peels one shift/offset wrapper off `f`; nullopt for every other latency.
+/// The wrapper set lives here alone: LatencyTable compiles chains and the
+/// engine hashes and compares them through this one peel. A subclass that
+/// merely reports a wrapper kind is never dereferenced as a wrapper.
+std::optional<WrapperLevel> peel_wrapper(const LatencyFunction& f);
 
 // ---- Factories ----------------------------------------------------------
 
@@ -230,7 +250,6 @@ LatencyPtr make_bpr(double free_flow_time, double capacity, double b = 0.15,
                     double power = 4.0);
 LatencyPtr make_mm1(double mu);
 LatencyPtr make_shifted(LatencyPtr base, double shift);
-LatencyPtr make_scaled(LatencyPtr base, double factor);
 LatencyPtr make_offset(LatencyPtr base, double offset);
 
 /// Deserialization entry point; supports the four serializable kinds.

@@ -29,7 +29,6 @@ enum class LatencyKind {
   kBpr,
   kMm1,
   kShifted,
-  kScaled,
   kOffset,
 };
 

@@ -1,21 +1,20 @@
 // Flat, cache-friendly compilation of latency functions — the evaluation
 // kernel underneath the solver hot loops.
 //
-// compile() walks each LatencyPtr once, peeling shifted/scaled/offset
-// wrappers into a short per-entry op chain and packing the primitive family
-// underneath into struct-of-arrays slots (family tag + coefficient slots,
-// polynomial coefficients in a shared pool). The kernels then evaluate
-// without virtual dispatch or shared_ptr chasing, with *bit-identical*
-// arithmetic to the virtual interface: each family/wrapper case replays the
-// exact expression sequence of families.cpp, so solvers can switch between
-// the two representations freely without perturbing equilibria — the sweep
-// determinism contract ("bitwise identical tables") relies on this.
+// compile() walks each LatencyPtr once, peeling shifted/offset wrappers into
+// a short per-entry op chain and packing the primitive family underneath
+// into struct-of-arrays slots (family tag + coefficient slots, polynomial
+// coefficients in a shared pool). The kernels then evaluate without virtual
+// dispatch or shared_ptr chasing. Every family formula is the one in
+// kernels.h that the virtual classes call too, so the two representations
+// are bit-identical by construction and solvers can switch between them
+// freely without perturbing equilibria.
 //
-// Unknown LatencyFunction subclasses (or wrapper chains compile() cannot
-// see through) degrade to an opaque entry that forwards to the original
-// virtual object, so compilation is total; inverses without a closed-form
-// chain (constants, polynomials, marginal-inverses under a shift) fall back
-// to the source object's own implementation the same way.
+// compile() accepts exactly the latencies whose kind() and params()
+// round-trip (the families of families.h and their shift/offset chains) and
+// throws stackroute::Error on anything else. Inverses without a closed form
+// (constants, polynomials, the marginal of a shifted latency) call the
+// source object's own implementation.
 #pragma once
 
 #include <cmath>
@@ -23,8 +22,8 @@
 #include <span>
 #include <vector>
 
+#include "stackroute/latency/kernels.h"
 #include "stackroute/latency/latency.h"
-#include "stackroute/util/numeric.h"
 
 namespace stackroute {
 
@@ -33,11 +32,10 @@ class LatencyTable {
   LatencyTable() = default;
 
   /// Compiles the given latencies, reusing this table's storage. Throws on
-  /// null entries.
+  /// a null entry, on an entry whose kind() and params() do not round-trip,
+  /// and on a wrapper chain deeper than 64 levels; the table is then left
+  /// empty.
   void compile(std::span<const LatencyPtr> lats);
-
-  /// One-shot convenience: a fresh table compiled from `lats`.
-  [[nodiscard]] static LatencyTable compiled(std::span<const LatencyPtr> lats);
 
   /// compile(), skipped entirely when `lats` is pointer-identical to the
   /// currently compiled set (same size, same objects elementwise). Latency
@@ -60,8 +58,8 @@ class LatencyTable {
   /// the set `other` was compiled from — same kinds, parameters and wrapper
   /// chains elementwise — which the caller must guarantee (the engine
   /// checks a content hash plus full structural equality). The sources are
-  /// re-pointed at `lats`, so opaque entries and inverse fallbacks dispatch
-  /// to the new (equal-valued) objects and subsequent ensure_compiled(lats)
+  /// re-pointed at `lats`, so inverse fallbacks dispatch to the new
+  /// (equal-valued) objects and subsequent ensure_compiled(lats)
   /// calls take the fast path. Counts as a recompilation for revision().
   void adopt(const LatencyTable& other, std::span<const LatencyPtr> lats);
 
@@ -82,9 +80,8 @@ class LatencyTable {
 
   /// ℓ_i(x).
   [[nodiscard]] double value(std::size_t i, double x) const {
-    if (all_affine_) return aff_a_[i] * x + aff_b_[i];
+    if (all_affine_) return kernels::affine_value(aff_a_[i], aff_b_[i], x);
     const Entry& en = entries_[i];
-    if (en.fam == Fam::kOpaque) return src_[i]->value(x);
     return en.wrap_count == 0 ? prim_value(en, x) : wrapped_value(en, 0, x);
   }
 
@@ -92,16 +89,14 @@ class LatencyTable {
   [[nodiscard]] double derivative(std::size_t i, double x) const {
     if (all_affine_) return aff_a_[i];
     const Entry& en = entries_[i];
-    if (en.fam == Fam::kOpaque) return src_[i]->derivative(x);
     return en.wrap_count == 0 ? prim_derivative(en, x)
                               : wrapped_derivative(en, 0, x);
   }
 
   /// ∫₀ˣ ℓ_i.
   [[nodiscard]] double integral(std::size_t i, double x) const {
-    if (all_affine_) return 0.5 * aff_a_[i] * x * x + aff_b_[i] * x;
+    if (all_affine_) return kernels::affine_integral(aff_a_[i], aff_b_[i], x);
     const Entry& en = entries_[i];
-    if (en.fam == Fam::kOpaque) return src_[i]->integral(x);
     return en.wrap_count == 0 ? prim_integral(en, x)
                               : wrapped_integral(en, 0, x);
   }
@@ -110,7 +105,7 @@ class LatencyTable {
   [[nodiscard]] double marginal(std::size_t i, double x) const {
     if (all_affine_) {
       const double a = aff_a_[i];
-      return (a * x + aff_b_[i]) + x * a;
+      return kernels::affine_value(a, aff_b_[i], x) + x * a;
     }
     return value(i, x) + x * derivative(i, x);
   }
@@ -154,16 +149,12 @@ class LatencyTable {
     return src_[i];
   }
 
-  // ---- Batched kernels (flow span → out span, sizes must match) ----------
-
+  /// out[i] = ℓ_i(flow[i]); both spans must have size().
   void values(std::span<const double> flow, std::span<double> out) const;
-  void derivatives(std::span<const double> flow, std::span<double> out) const;
-  void integrals(std::span<const double> flow, std::span<double> out) const;
-  void marginals(std::span<const double> flow, std::span<double> out) const;
 
  private:
-  enum class Fam : std::uint8_t { kConstant, kAffine, kPoly, kBpr, kMm1, kOpaque };
-  enum class Op : std::uint8_t { kShift, kScale, kOffset };
+  enum class Fam : std::uint8_t { kConstant, kAffine, kPoly, kBpr, kMm1 };
+  enum class Op : std::uint8_t { kShift, kOffset };
   enum Flag : std::uint8_t {
     kFlagConstant = 1,
     kFlagClosedInverse = 2,
@@ -176,13 +167,13 @@ class LatencyTable {
   };
 
   struct Entry {
-    Fam fam = Fam::kOpaque;
+    Fam fam = Fam::kConstant;
     std::uint8_t flags = 0;
     std::uint16_t wrap_count = 0;
     std::uint32_t wrap_begin = 0;
     std::uint32_t coeff_begin = 0;
     std::uint32_t coeff_count = 0;
-    std::int32_t aux = 0;  // BPR: integer exponent (0 = fractional)
+    std::int32_t aux = 0;  // BPR: kernels::bpr_int_power(p)
     // Family slots: Constant {b,-,-,-}, Affine {a,b,-,-},
     // BPR {t0,cap,B,p}, MM1 {mu,-,-,-}; Poly uses the coefficient pool.
     double p0 = 0.0, p1 = 0.0, p2 = 0.0, p3 = 0.0;
@@ -190,39 +181,24 @@ class LatencyTable {
 
   void append_entry(const LatencyFunction& f);
 
-  // Every prim_*/wrapped_* body below replays the corresponding
-  // families.cpp expression verbatim; see the header comment for why.
+  [[nodiscard]] std::span<const double> poly(const Entry& en) const {
+    return {coeffs_.data() + en.coeff_begin, en.coeff_count};
+  }
 
   [[nodiscard]] double prim_value(const Entry& en, double x) const {
     switch (en.fam) {
       case Fam::kConstant:
         return en.p0;
       case Fam::kAffine:
-        return en.p0 * x + en.p1;
-      case Fam::kPoly: {
-        double acc = 0.0;
-        for (std::size_t k = en.coeff_count; k-- > 0;) {
-          acc = acc * x + coeffs_[en.coeff_begin + k];
-        }
-        return acc;
-      }
-      case Fam::kBpr: {
-        const double r = x / en.p1;
-        const double rp =
-            en.aux > 0 ? ipow_small(r, en.aux) : std::pow(r, en.p3);
-        return en.p0 * (1.0 + en.p2 * rp);
-      }
-      case Fam::kMm1: {
-        const double xb = en.p0 * (1.0 - 1e-7);
-        if (x <= xb) return 1.0 / (en.p0 - x);
-        const double v = 1.0 / (en.p0 - xb);
-        const double d = v * v;
-        return v + d * (x - xb);
-      }
-      case Fam::kOpaque:
-        break;
+        return kernels::affine_value(en.p0, en.p1, x);
+      case Fam::kPoly:
+        return kernels::poly_value(poly(en), x);
+      case Fam::kBpr:
+        return kernels::bpr_value(en.p0, en.p1, en.p2, en.p3, en.aux, x);
+      case Fam::kMm1:
+        return kernels::mm1_value(en.p0, x);
     }
-    return 0.0;  // unreachable: opaque entries never reach the prim kernels
+    return 0.0;  // unreachable: the switch covers every family
   }
 
   [[nodiscard]] double prim_derivative(const Entry& en, double x) const {
@@ -231,27 +207,12 @@ class LatencyTable {
         return 0.0;
       case Fam::kAffine:
         return en.p0;
-      case Fam::kPoly: {
-        double acc = 0.0;
-        for (std::size_t k = en.coeff_count; k-- > 1;) {
-          acc = acc * x + static_cast<double>(k) * coeffs_[en.coeff_begin + k];
-        }
-        return acc;
-      }
-      case Fam::kBpr: {
-        const double r = x / en.p1;
-        const double rp1 =
-            en.aux > 0 ? ipow_small(r, en.aux - 1) : std::pow(r, en.p3 - 1.0);
-        return en.p0 * en.p2 * en.p3 * rp1 / en.p1;
-      }
-      case Fam::kMm1: {
-        const double xb = en.p0 * (1.0 - 1e-7);
-        const double xe = std::fmin(x, xb);
-        const double v = 1.0 / (en.p0 - xe);
-        return v * v;
-      }
-      case Fam::kOpaque:
-        break;
+      case Fam::kPoly:
+        return kernels::poly_derivative(poly(en), x);
+      case Fam::kBpr:
+        return kernels::bpr_derivative(en.p0, en.p1, en.p2, en.p3, en.aux, x);
+      case Fam::kMm1:
+        return kernels::mm1_derivative(en.p0, x);
     }
     return 0.0;
   }
@@ -259,87 +220,59 @@ class LatencyTable {
   [[nodiscard]] double prim_integral(const Entry& en, double x) const {
     switch (en.fam) {
       case Fam::kConstant:
-        return en.p0 * x;
+        return kernels::constant_integral(en.p0, x);
       case Fam::kAffine:
-        return 0.5 * en.p0 * x * x + en.p1 * x;
-      case Fam::kPoly: {
-        double acc = 0.0;
-        for (std::size_t k = en.coeff_count; k-- > 0;) {
-          acc = acc * x +
-                coeffs_[en.coeff_begin + k] / static_cast<double>(k + 1);
-        }
-        return acc * x;
-      }
-      case Fam::kBpr: {
-        const double r = x / en.p1;
-        const double rp =
-            en.aux > 0 ? ipow_small(r, en.aux) : std::pow(r, en.p3);
-        return en.p0 * x + en.p0 * en.p2 * rp * x / (en.p3 + 1.0);
-      }
-      case Fam::kMm1: {
-        const double xb = en.p0 * (1.0 - 1e-7);
-        if (x <= xb) return std::log(en.p0 / (en.p0 - x));
-        const double v = 1.0 / (en.p0 - xb);
-        const double d = v * v;
-        const double t = x - xb;
-        return std::log(en.p0 / (en.p0 - xb)) + v * t + 0.5 * d * t * t;
-      }
-      case Fam::kOpaque:
-        break;
+        return kernels::affine_integral(en.p0, en.p1, x);
+      case Fam::kPoly:
+        return kernels::poly_integral(poly(en), x);
+      case Fam::kBpr:
+        return kernels::bpr_integral(en.p0, en.p1, en.p2, en.p3, en.aux, x);
+      case Fam::kMm1:
+        return kernels::mm1_integral(en.p0, x);
     }
     return 0.0;
   }
 
+  // The inverses are reached only through the closed-form flags, which
+  // compile() sets for affine (slope > 0), BPR and M/M/1 alone.
+
   [[nodiscard]] double prim_inverse(const Entry& en, double target) const {
     switch (en.fam) {
       case Fam::kAffine:
-        return std::fmax(0.0, (target - en.p1) / en.p0);
+        return kernels::affine_inverse(en.p0, en.p1, target);
       case Fam::kBpr:
-        if (target <= en.p0) return 0.0;
-        return en.p1 * std::pow((target / en.p0 - 1.0) / en.p2, 1.0 / en.p3);
-      case Fam::kMm1: {
-        if (target <= 1.0 / en.p0) return 0.0;
-        const double xb = en.p0 * (1.0 - 1e-7);
-        const double vb = 1.0 / (en.p0 - xb);
-        if (target <= vb) return en.p0 - 1.0 / target;
-        return xb + (target - vb) / (vb * vb);
-      }
+        return kernels::bpr_inverse(en.p0, en.p1, en.p2, en.p3, target);
+      case Fam::kMm1:
+        return kernels::mm1_inverse(en.p0, target);
       default:
         break;
     }
-    return 0.0;  // unreachable: the closed-inverse flag gates these fams
+    return 0.0;
   }
 
   [[nodiscard]] double prim_inverse_marginal(const Entry& en,
                                              double target) const {
     switch (en.fam) {
       case Fam::kAffine:
-        return std::fmax(0.0, (target - en.p1) / (2.0 * en.p0));
+        return kernels::affine_inverse_marginal(en.p0, en.p1, target);
       case Fam::kBpr:
-        if (target <= en.p0) return 0.0;
-        return en.p1 * std::pow((target / en.p0 - 1.0) / (en.p2 * (en.p3 + 1.0)),
-                                1.0 / en.p3);
-      case Fam::kMm1: {
-        if (target <= 1.0 / en.p0) return 0.0;
-        const double xb = en.p0 * (1.0 - 1e-7);
-        const double vb = 1.0 / (en.p0 - xb);
-        const double mb = en.p0 * vb * vb;
-        if (target <= mb) return en.p0 - std::sqrt(en.p0 / target);
-        const double s = vb * vb;
-        return (target - vb + s * xb) / (2.0 * s);
-      }
+        return kernels::bpr_inverse_marginal(en.p0, en.p1, en.p2, en.p3,
+                                             target);
+      case Fam::kMm1:
+        return kernels::mm1_inverse_marginal(en.p0, target);
       default:
         break;
     }
     return 0.0;
   }
 
+  // The wrapper ops mirror ShiftedLatency / OffsetLatency (families.h).
+
   [[nodiscard]] double wrapped_value(const Entry& en, std::uint32_t w,
                                      double x) const {
     if (w == en.wrap_count) return prim_value(en, x);
     const Wrap& wr = wraps_[en.wrap_begin + w];
     if (wr.op == Op::kShift) return wrapped_value(en, w + 1, x + wr.p);
-    if (wr.op == Op::kScale) return wr.p * wrapped_value(en, w + 1, x);
     return wrapped_value(en, w + 1, x) + wr.p;
   }
 
@@ -348,7 +281,6 @@ class LatencyTable {
     if (w == en.wrap_count) return prim_derivative(en, x);
     const Wrap& wr = wraps_[en.wrap_begin + w];
     if (wr.op == Op::kShift) return wrapped_derivative(en, w + 1, x + wr.p);
-    if (wr.op == Op::kScale) return wr.p * wrapped_derivative(en, w + 1, x);
     return wrapped_derivative(en, w + 1, x);
   }
 
@@ -360,7 +292,6 @@ class LatencyTable {
       return wrapped_integral(en, w + 1, x + wr.p) -
              wrapped_integral(en, w + 1, wr.p);
     }
-    if (wr.op == Op::kScale) return wr.p * wrapped_integral(en, w + 1, x);
     return wrapped_integral(en, w + 1, x) + wr.p * x;
   }
 
@@ -371,19 +302,19 @@ class LatencyTable {
     if (wr.op == Op::kShift) {
       return std::fmax(0.0, wrapped_inverse(en, w + 1, target) - wr.p);
     }
-    if (wr.op == Op::kScale) return wrapped_inverse(en, w + 1, target / wr.p);
+    if (target <= wrapped_value(en, w, 0.0)) return 0.0;
     return wrapped_inverse(en, w + 1, target - wr.p);
   }
 
+  // Reached only for shift-free chains (see inverse_marginal), so every
+  // level is an offset.
   [[nodiscard]] double wrapped_inverse_marginal(const Entry& en,
                                                 std::uint32_t w,
                                                 double target) const {
     if (w == en.wrap_count) return prim_inverse_marginal(en, target);
+    if (target <= wrapped_value(en, w, 0.0)) return 0.0;
     const Wrap& wr = wraps_[en.wrap_begin + w];
-    if (wr.op == Op::kScale) {
-      return wrapped_inverse_marginal(en, w + 1, target / wr.p);
-    }
-    return wrapped_inverse_marginal(en, w + 1, target - wr.p);  // offset
+    return wrapped_inverse_marginal(en, w + 1, target - wr.p);
   }
 
   std::vector<Entry> entries_;

@@ -22,8 +22,6 @@ std::string to_string(LatencyKind kind) {
       return "mm1";
     case LatencyKind::kShifted:
       return "shifted";
-    case LatencyKind::kScaled:
-      return "scaled";
     case LatencyKind::kOffset:
       return "offset";
   }

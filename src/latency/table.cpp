@@ -1,6 +1,8 @@
 #include "stackroute/latency/table.h"
 
 #include <algorithm>
+#include <optional>
+#include <string>
 
 #include "stackroute/latency/families.h"
 #include "stackroute/util/error.h"
@@ -11,7 +13,7 @@ namespace {
 
 // Paranoia bound: wrapper chains are O(1) deep in practice (make_shifted /
 // make_offset collapse direct nesting); anything deeper than this is almost
-// certainly a pathological construction — treat it as opaque.
+// certainly a pathological construction, and compile() rejects it.
 constexpr std::size_t kMaxWrapDepth = 64;
 
 }  // namespace
@@ -47,12 +49,21 @@ void LatencyTable::compile(std::span<const LatencyPtr> lats) {
   entries_.clear();
   wraps_.clear();
   coeffs_.clear();
-  src_.assign(lats.begin(), lats.end());
+  src_.clear();
   entries_.reserve(lats.size());
-  for (const LatencyPtr& lat : lats) {
-    SR_REQUIRE(lat != nullptr, "LatencyTable::compile got a null latency");
-    append_entry(*lat);
+  try {
+    for (const LatencyPtr& lat : lats) {
+      SR_REQUIRE(lat != nullptr, "LatencyTable::compile got a null latency");
+      append_entry(*lat);
+    }
+  } catch (...) {
+    entries_.clear();  // leave an empty table, never a partial one
+    wraps_.clear();
+    coeffs_.clear();
+    all_affine_ = false;
+    throw;
   }
+  src_.assign(lats.begin(), lats.end());
   // Homogeneous-affine fast path: flat slope/intercept arrays.
   all_affine_ = !entries_.empty();
   for (const Entry& en : entries_) {
@@ -73,12 +84,6 @@ void LatencyTable::compile(std::span<const LatencyPtr> lats) {
   }
 }
 
-LatencyTable LatencyTable::compiled(std::span<const LatencyPtr> lats) {
-  LatencyTable t;
-  t.compile(lats);
-  return t;
-}
-
 std::size_t LatencyTable::footprint_bytes() const {
   return sizeof(*this) + entries_.capacity() * sizeof(Entry) +
          wraps_.capacity() * sizeof(Wrap) +
@@ -91,122 +96,74 @@ void LatencyTable::append_entry(const LatencyFunction& f) {
   Entry en;
   en.wrap_begin = static_cast<std::uint32_t>(wraps_.size());
 
-  // Peel wrappers outermost-first. base() is only reachable through the
-  // concrete classes, so an unknown subclass masquerading behind a wrapper
-  // kind makes the whole entry opaque.
+  // Peel wrappers outermost-first.
   const LatencyFunction* cur = &f;
-  bool opaque = false;
   bool shifted = false;
-  for (;;) {
-    if (wraps_.size() - en.wrap_begin > kMaxWrapDepth) {
-      opaque = true;
-      break;
-    }
-    const LatencyKind k = cur->kind();
-    if (k == LatencyKind::kShifted) {
-      const auto* w = dynamic_cast<const ShiftedLatency*>(cur);
-      if (w == nullptr) {
-        opaque = true;
-        break;
-      }
-      wraps_.push_back(Wrap{Op::kShift, w->shift()});
-      shifted = true;
-      cur = w->base().get();
-    } else if (k == LatencyKind::kScaled) {
-      const auto* w = dynamic_cast<const ScaledLatency*>(cur);
-      if (w == nullptr) {
-        opaque = true;
-        break;
-      }
-      wraps_.push_back(Wrap{Op::kScale, w->factor()});
-      cur = w->base().get();
-    } else if (k == LatencyKind::kOffset) {
-      const auto* w = dynamic_cast<const OffsetLatency*>(cur);
-      if (w == nullptr) {
-        opaque = true;
-        break;
-      }
-      wraps_.push_back(Wrap{Op::kOffset, w->offset()});
-      cur = w->base().get();
-    } else {
-      break;
-    }
+  while (const std::optional<WrapperLevel> w = peel_wrapper(*cur)) {
+    SR_REQUIRE(wraps_.size() - en.wrap_begin < kMaxWrapDepth,
+               "LatencyTable::compile: wrapper chain deeper than " +
+                   std::to_string(kMaxWrapDepth) + " levels");
+    const bool shift = w->kind == LatencyKind::kShifted;
+    wraps_.push_back(Wrap{shift ? Op::kShift : Op::kOffset, w->param});
+    shifted = shifted || shift;
+    cur = w->base;
   }
+  en.wrap_count = static_cast<std::uint16_t>(wraps_.size() - en.wrap_begin);
 
-  // Pack the primitive underneath. kind() + params() is the documented
-  // round-trip contract, so honoring it here also covers well-behaved
-  // third-party subclasses.
-  if (!opaque) {
-    const std::vector<double> p = cur->params();
-    switch (cur->kind()) {
-      case LatencyKind::kConstant:
-        opaque = p.size() != 1;
-        if (!opaque) {
-          en.fam = Fam::kConstant;
-          en.p0 = p[0];
-        }
-        break;
-      case LatencyKind::kAffine:
-        opaque = p.size() != 2;
-        if (!opaque) {
-          en.fam = Fam::kAffine;
-          en.p0 = p[0];
-          en.p1 = p[1];
-          if (en.p0 > 0.0) {
-            en.flags |= kFlagClosedInverse | kFlagClosedInverseMarginal;
-          }
-        }
-        break;
-      case LatencyKind::kPolynomial:
-        opaque = p.empty();
-        if (!opaque) {
-          en.fam = Fam::kPoly;
-          en.coeff_begin = static_cast<std::uint32_t>(coeffs_.size());
-          en.coeff_count = static_cast<std::uint32_t>(p.size());
-          coeffs_.insert(coeffs_.end(), p.begin(), p.end());
-        }
-        break;
-      case LatencyKind::kBpr:
-        opaque = p.size() != 4;
-        if (!opaque) {
-          en.fam = Fam::kBpr;
-          en.p0 = p[0];
-          en.p1 = p[1];
-          en.p2 = p[2];
-          en.p3 = p[3];
-          // Same strength-reduction condition as BprLatency's constructor,
-          // so both representations take the identical power path.
-          if (en.p3 == std::floor(en.p3) && en.p3 <= 16.0) {
-            en.aux = static_cast<std::int32_t>(en.p3);
-          }
-          en.flags |= kFlagClosedInverse | kFlagClosedInverseMarginal;
-        }
-        break;
-      case LatencyKind::kMm1:
-        opaque = p.size() != 1;
-        if (!opaque) {
-          en.fam = Fam::kMm1;
-          en.p0 = p[0];
-          en.flags |= kFlagClosedInverse | kFlagClosedInverseMarginal;
-        }
-        break;
-      default:
-        opaque = true;
-        break;
-    }
+  // Pack the primitive underneath from its kind() + params(), the
+  // documented round-trip contract.
+  const std::vector<double> p = cur->params();
+  const auto require_params = [&](bool ok) {
+    SR_REQUIRE(ok, "LatencyTable::compile: " + to_string(cur->kind()) +
+                       " latency with " + std::to_string(p.size()) +
+                       " parameters does not round-trip");
+  };
+  switch (cur->kind()) {
+    case LatencyKind::kConstant:
+      require_params(p.size() == 1);
+      en.fam = Fam::kConstant;
+      en.p0 = p[0];
+      break;
+    case LatencyKind::kAffine:
+      require_params(p.size() == 2);
+      en.fam = Fam::kAffine;
+      en.p0 = p[0];
+      en.p1 = p[1];
+      if (en.p0 > 0.0) {
+        en.flags |= kFlagClosedInverse | kFlagClosedInverseMarginal;
+      }
+      break;
+    case LatencyKind::kPolynomial:
+      require_params(!p.empty());
+      en.fam = Fam::kPoly;
+      en.coeff_begin = static_cast<std::uint32_t>(coeffs_.size());
+      en.coeff_count = static_cast<std::uint32_t>(p.size());
+      coeffs_.insert(coeffs_.end(), p.begin(), p.end());
+      break;
+    case LatencyKind::kBpr:
+      require_params(p.size() == 4);
+      en.fam = Fam::kBpr;
+      en.p0 = p[0];
+      en.p1 = p[1];
+      en.p2 = p[2];
+      en.p3 = p[3];
+      en.aux = kernels::bpr_int_power(en.p3);
+      en.flags |= kFlagClosedInverse | kFlagClosedInverseMarginal;
+      break;
+    case LatencyKind::kMm1:
+      require_params(p.size() == 1);
+      en.fam = Fam::kMm1;
+      en.p0 = p[0];
+      en.flags |= kFlagClosedInverse | kFlagClosedInverseMarginal;
+      break;
+    case LatencyKind::kShifted:
+    case LatencyKind::kOffset:
+      require_params(false);  // a wrapper kind peel_wrapper did not accept
+      break;
   }
-
-  if (opaque) {
-    wraps_.resize(en.wrap_begin);  // drop any partially-peeled chain
-    en = Entry{};
-    en.fam = Fam::kOpaque;
-  } else {
-    en.wrap_count =
-        static_cast<std::uint16_t>(wraps_.size() - en.wrap_begin);
-    // The marginal of a shifted latency is not the shifted marginal
-    // (ShiftedLatency::inverse_marginal uses the numeric default).
-    if (shifted) en.flags &= static_cast<std::uint8_t>(~kFlagClosedInverseMarginal);
-  }
+  // The marginal of a shifted latency is not the shifted marginal
+  // (ShiftedLatency::inverse_marginal uses the numeric default).
+  if (shifted) en.flags &= static_cast<std::uint8_t>(~kFlagClosedInverseMarginal);
   if (f.is_constant()) en.flags |= kFlagConstant;
   entries_.push_back(en);
 }
@@ -216,27 +173,6 @@ void LatencyTable::values(std::span<const double> flow,
   SR_REQUIRE(flow.size() == size() && out.size() == size(),
              "LatencyTable::values span size mismatch");
   for (std::size_t i = 0; i < size(); ++i) out[i] = value(i, flow[i]);
-}
-
-void LatencyTable::derivatives(std::span<const double> flow,
-                               std::span<double> out) const {
-  SR_REQUIRE(flow.size() == size() && out.size() == size(),
-             "LatencyTable::derivatives span size mismatch");
-  for (std::size_t i = 0; i < size(); ++i) out[i] = derivative(i, flow[i]);
-}
-
-void LatencyTable::integrals(std::span<const double> flow,
-                             std::span<double> out) const {
-  SR_REQUIRE(flow.size() == size() && out.size() == size(),
-             "LatencyTable::integrals span size mismatch");
-  for (std::size_t i = 0; i < size(); ++i) out[i] = integral(i, flow[i]);
-}
-
-void LatencyTable::marginals(std::span<const double> flow,
-                             std::span<double> out) const {
-  SR_REQUIRE(flow.size() == size() && out.size() == size(),
-             "LatencyTable::marginals span size mismatch");
-  for (std::size_t i = 0; i < size(); ++i) out[i] = marginal(i, flow[i]);
 }
 
 }  // namespace stackroute

@@ -13,7 +13,8 @@
 // The solver hot loops use the LatencyTable forms (allocation-free and
 // devirtualized); objective_value and total_cost also come in a form over
 // the virtual LatencyPtr interface for callers without a compiled table.
-// Both forms produce bit-identical numbers.
+// Both forms produce bit-identical numbers: the table and the latency
+// classes evaluate through the same kernels (latency/kernels.h).
 #pragma once
 
 #include <span>

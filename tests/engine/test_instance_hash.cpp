@@ -134,12 +134,13 @@ TEST(InstanceHashTest, LatencyParameterPerturbationChangesHash) {
 }
 
 TEST(InstanceHashTest, WrapperChainDepthMatters) {
-  // shifted(linear(2), 0.5) vs scaled variants with the same params must
+  // shifted(linear(2), 0.5) vs offset(linear(2), 0.5), same params, must
   // not collide: the kind tag of every chain level is mixed.
   ParallelLinks a = sample_links();
   ParallelLinks b = sample_links();
-  b.links[2] = make_scaled(make_linear(2.0), 0.5);
+  b.links[2] = make_offset(make_linear(2.0), 0.5);
   EXPECT_NE(content_hash(a), content_hash(b));
+  EXPECT_FALSE(latency_equal(*a.links[2], *b.links[2]));
 }
 
 TEST(InstanceHashTest, TopologyPerturbationChangesHash) {

@@ -209,12 +209,13 @@ TEST(ShiftedLatency, ShiftBeyondCapacityRejected) {
   EXPECT_THROW(ShiftedLatency(make_mm1(1.0), 2.0), Error);
 }
 
-TEST(ScaledLatency, ScalesEverything) {
-  ScaledLatency fn(make_affine(1.0, 1.0), 3.0);
-  EXPECT_DOUBLE_EQ(fn.value(1.0), 6.0);
-  EXPECT_DOUBLE_EQ(fn.derivative(1.0), 3.0);
-  EXPECT_DOUBLE_EQ(fn.integral(2.0), 3.0 * (2.0 + 2.0));
-  EXPECT_DOUBLE_EQ(fn.inverse(6.0), 1.0);
+TEST(OffsetLatency, OffsetsEverything) {
+  OffsetLatency fn(make_affine(1.0, 1.0), 3.0);
+  EXPECT_DOUBLE_EQ(fn.value(1.0), 5.0);
+  EXPECT_DOUBLE_EQ(fn.derivative(1.0), 1.0);
+  EXPECT_DOUBLE_EQ(fn.integral(2.0), (2.0 + 2.0) + 3.0 * 2.0);
+  EXPECT_DOUBLE_EQ(fn.inverse(5.0), 1.0);
+  EXPECT_DOUBLE_EQ(fn.inverse_marginal(6.0), 1.0);  // marginal 2x + 4
 }
 
 TEST(Factories, MonomialBuildsExpectedPolynomial) {
@@ -236,9 +237,9 @@ TEST(Factories, MakeLatencyRoundTripsSerializableKinds) {
   }
 }
 
-TEST(Factories, ShiftedScaledNotSerializable) {
+TEST(Factories, WrappersNotSerializable) {
   EXPECT_THROW(make_latency(LatencyKind::kShifted, {1.0}), Error);
-  EXPECT_THROW(make_latency(LatencyKind::kScaled, {1.0}), Error);
+  EXPECT_THROW(make_latency(LatencyKind::kOffset, {1.0}), Error);
 }
 
 TEST(Describe, HumanReadableFormulas) {

@@ -2,8 +2,8 @@
 // kernels must agree with the objects they were compiled from — bitwise for
 // value/derivative/integral/marginal (the solver hot paths lean on this for
 // the sweep determinism contract) and to tight tolerance for the inverses.
-// Covers every LatencyKind, nested shifted/scaled/offset wrappers, and the
-// opaque fallback for unknown subclasses.
+// Covers every LatencyKind, nested shifted/offset wrappers, and the
+// rejection of latencies compile() cannot represent.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -44,21 +44,21 @@ std::vector<TableCase> table_cases() {
   cases.push_back({"shifted_poly", make_shifted(make_polynomial({0.2, 0.1, 0.7}), 0.4), 4.0});
   cases.push_back({"shifted_bpr", make_shifted(make_bpr(1.5, 2.0), 0.8), 3.0});
   cases.push_back({"shifted_mm1", make_shifted(make_mm1(4.0), 1.0), 2.5});
-  cases.push_back({"scaled_poly", make_scaled(make_polynomial({0.2, 0.3, 0.4}), 2.5), 4.0});
-  cases.push_back({"scaled_mm1", make_scaled(make_mm1(3.0), 0.25), 2.5});
+  cases.push_back({"offset_poly", make_offset(make_polynomial({0.2, 0.3, 0.4}), 2.5), 4.0});
+  cases.push_back({"offset_mm1", make_offset(make_mm1(3.0), 0.25), 2.5});
   cases.push_back({"offset_affine", make_offset(make_affine(1.2, 0.3), 0.9), 6.0});
   cases.push_back({"offset_constant", make_offset(make_constant(0.5), 0.25), 6.0});
-  // Nested wrappers (both orders of scale/offset, shift inside and outside).
-  cases.push_back({"scaled_offset_affine",
-                   make_scaled(make_offset(make_affine(1.0, 0.2), 0.4), 1.5), 5.0});
-  cases.push_back({"offset_scaled_poly",
-                   make_offset(make_scaled(make_polynomial({0.3, 0.6}), 2.0), 0.7), 5.0});
-  cases.push_back({"shifted_scaled_bpr",
-                   make_shifted(make_scaled(make_bpr(1.0, 1.5), 1.2), 0.6), 2.0});
-  cases.push_back({"scaled_shifted_mm1",
-                   make_scaled(make_shifted(make_mm1(5.0), 1.5), 0.8), 2.0});
-  cases.push_back({"offset_shifted_scaled_affine",
-                   make_offset(make_scaled(make_shifted(make_affine(0.9, 0.1), 0.5), 1.7), 0.3),
+  // Nested wrappers (both orders of shift/offset, and a 3-level chain).
+  cases.push_back({"shifted_offset_affine",
+                   make_shifted(make_offset(make_affine(1.0, 0.2), 0.4), 1.5), 5.0});
+  cases.push_back({"offset_shifted_poly",
+                   make_offset(make_shifted(make_polynomial({0.3, 0.6}), 2.0), 0.7), 5.0});
+  cases.push_back({"shifted_offset_bpr",
+                   make_shifted(make_offset(make_bpr(1.0, 1.5), 1.2), 0.6), 2.0});
+  cases.push_back({"offset_shifted_mm1",
+                   make_offset(make_shifted(make_mm1(5.0), 1.5), 0.8), 2.0});
+  cases.push_back({"offset_shifted_offset_affine",
+                   make_offset(make_shifted(make_offset(make_affine(0.9, 0.1), 0.5), 1.7), 0.3),
                    4.0});
   for (int i = 0; i < 6; ++i) {
     cases.push_back({"random_affine_" + std::to_string(i),
@@ -73,12 +73,18 @@ std::vector<TableCase> table_cases() {
   return cases;
 }
 
+LatencyTable compiled(const std::vector<LatencyPtr>& lats) {
+  LatencyTable table;
+  table.compile(lats);
+  return table;
+}
+
 class TableEquivalence : public ::testing::TestWithParam<TableCase> {};
 
 TEST_P(TableEquivalence, MatchesVirtualInterfaceBitwise) {
   const TableCase& c = GetParam();
   const std::vector<LatencyPtr> lats = {c.fn};
-  const LatencyTable table = LatencyTable::compiled(lats);
+  const LatencyTable table = compiled(lats);
   ASSERT_EQ(table.size(), 1u);
   EXPECT_EQ(table.is_constant(0), c.fn->is_constant()) << c.name;
 
@@ -99,7 +105,7 @@ TEST_P(TableEquivalence, InversesMatchToTightTolerance) {
   const TableCase& c = GetParam();
   if (c.fn->is_constant()) return;  // inverses throw for constants
   const std::vector<LatencyPtr> lats = {c.fn};
-  const LatencyTable table = LatencyTable::compiled(lats);
+  const LatencyTable table = compiled(lats);
 
   Rng rng(1717);
   for (int k = 0; k < 100; ++k) {
@@ -131,7 +137,7 @@ TEST(LatencyTable, BatchedKernelsMatchScalar) {
   Rng rng(99);
   std::vector<LatencyPtr> lats;
   for (const TableCase& c : table_cases()) lats.push_back(c.fn);
-  const LatencyTable table = LatencyTable::compiled(lats);
+  const LatencyTable table = compiled(lats);
   ASSERT_EQ(table.size(), lats.size());
 
   std::vector<double> flow(lats.size());
@@ -142,22 +148,10 @@ TEST(LatencyTable, BatchedKernelsMatchScalar) {
   for (std::size_t i = 0; i < lats.size(); ++i) {
     EXPECT_EQ(out[i], lats[i]->value(flow[i])) << i;
   }
-  table.derivatives(flow, out);
-  for (std::size_t i = 0; i < lats.size(); ++i) {
-    EXPECT_EQ(out[i], lats[i]->derivative(flow[i])) << i;
-  }
-  table.integrals(flow, out);
-  for (std::size_t i = 0; i < lats.size(); ++i) {
-    EXPECT_EQ(out[i], lats[i]->integral(flow[i])) << i;
-  }
-  table.marginals(flow, out);
-  for (std::size_t i = 0; i < lats.size(); ++i) {
-    EXPECT_EQ(out[i], lats[i]->marginal(flow[i])) << i;
-  }
 }
 
-// An unknown subclass must compile to an opaque entry that forwards to the
-// virtual object rather than mis-evaluating.
+// A subclass whose kind() and params() do not round-trip cannot be
+// compiled into the table's family slots, so compile() refuses it.
 class WeirdLatency final : public LatencyFunction {
  public:
   double value(double x) const override { return x * x + 3.0; }
@@ -168,15 +162,53 @@ class WeirdLatency final : public LatencyFunction {
   std::string describe() const override { return "weird"; }
 };
 
-TEST(LatencyTable, OpaqueFallbackForUnknownSubclass) {
-  const std::vector<LatencyPtr> lats = {std::make_shared<WeirdLatency>()};
-  const LatencyTable table = LatencyTable::compiled(lats);
-  for (double x : {0.0, 0.5, 2.0, 7.25}) {
-    EXPECT_EQ(table.value(0, x), lats[0]->value(x));
-    EXPECT_EQ(table.derivative(0, x), lats[0]->derivative(x));
-    EXPECT_EQ(table.integral(0, x), lats[0]->integral(x));
-    EXPECT_EQ(table.marginal(0, x), lats[0]->marginal(x));
-  }
+// A subclass that only reports a wrapper kind is not peeled as one.
+class FakeShiftLatency final : public LatencyFunction {
+ public:
+  double value(double x) const override { return x + 1.0; }
+  double derivative(double) const override { return 1.0; }
+  double integral(double x) const override { return 0.5 * x * x + x; }
+  LatencyKind kind() const override { return LatencyKind::kShifted; }
+  std::vector<double> params() const override { return {1.0}; }
+  std::string describe() const override { return "fake shift"; }
+};
+
+TEST(LatencyTable, CompileRejectsUnknownSubclass) {
+  LatencyTable table;
+  const std::vector<LatencyPtr> good = {make_affine(1.0, 0.5)};
+  table.compile(good);
+  const std::vector<LatencyPtr> lats = {make_linear(2.0),
+                                        std::make_shared<WeirdLatency>()};
+  EXPECT_THROW(table.compile(lats), Error);
+  // The failed compile leaves an empty table, not a partial one.
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_FALSE(table.compiled_for(good));
+  EXPECT_FALSE(table.compiled_for(lats));
+
+  const std::vector<LatencyPtr> wrapped = {
+      make_offset(std::make_shared<WeirdLatency>(), 0.5)};
+  EXPECT_THROW(table.compile(wrapped), Error);
+
+  EXPECT_FALSE(peel_wrapper(FakeShiftLatency()).has_value());
+  const std::vector<LatencyPtr> fake = {std::make_shared<FakeShiftLatency>()};
+  EXPECT_THROW(table.compile(fake), Error);
+}
+
+TEST(LatencyTable, CompileRejectsWrapperChainsDeeperThan64) {
+  // Alternating shift/offset levels, which the factories do not collapse.
+  const auto chain = [](int depth) {
+    LatencyPtr f = make_affine(1.0, 0.5);
+    for (int k = 0; k < depth; ++k) {
+      f = k % 2 == 0 ? make_shifted(f, 0.01) : make_offset(f, 0.01);
+    }
+    return f;
+  };
+  LatencyTable table;
+  const std::vector<LatencyPtr> deepest = {chain(64)};
+  table.compile(deepest);
+  EXPECT_EQ(table.value(0, 1.0), deepest[0]->value(1.0));
+  const std::vector<LatencyPtr> too_deep = {chain(65)};
+  EXPECT_THROW(table.compile(too_deep), Error);
 }
 
 TEST(LatencyTable, CompileReusesStorageAndRejectsNull) {

@@ -37,8 +37,8 @@ std::vector<FamilyCase> family_cases() {
   cases.push_back(
       {"shifted_affine", make_shifted(make_affine(2.0, 0.5), 1.25), 6.0});
   cases.push_back({"shifted_mm1", make_shifted(make_mm1(4.0), 1.0), 2.5});
-  cases.push_back({"scaled_poly",
-                   make_scaled(make_polynomial({0.2, 0.3, 0.4}), 2.5), 4.0});
+  cases.push_back({"offset_poly",
+                   make_offset(make_polynomial({0.2, 0.3, 0.4}), 2.5), 4.0});
   for (int i = 0; i < 8; ++i) {
     cases.push_back({"random_affine_" + std::to_string(i),
                      make_affine(rng.uniform(0.1, 5.0), rng.uniform(0.0, 3.0)),

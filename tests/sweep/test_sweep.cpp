@@ -248,8 +248,9 @@ TEST(SweepRunner, FailedTasksAreReportedNotFatal) {
   EXPECT_TRUE(result.records[0].ok);
   EXPECT_NE(result.to_csv().find("error"), std::string::npos);
 
-  EXPECT_THROW(SweepRunner({.digits = 6, .keep_going = false}).run(spec),
-               Error);
+  SweepOptions fail_fast;
+  fail_fast.keep_going = false;
+  EXPECT_THROW(SweepRunner(fail_fast).run(spec), Error);
 }
 
 TEST(SweepRunner, NetworkMetricsDispatchToMop) {

@@ -19,7 +19,7 @@
 //
 // Request fields (unknown keys are rejected — typos are errors here):
 //   op            "equilibrium" | "optimum" | "mop" | "strategy" | "close"
-//   id            number, echoed verbatim in the response (default 0)
+//   id            number, echoed unchanged in the response (default 0)
 //   session       number; requests sharing a session id warm-start each
 //                 other (0 / absent = sessionless pooled workspace);
 //                 "close" drops the session and its warm state. Session
