@@ -34,6 +34,18 @@ const NetworkInstance& anaheim() {
   return inst;
 }
 
+/// Anaheim at 1.175x the file's OD demand: the heavier of the two ramp
+/// points where the total-cost bush solve once stalled at its iteration
+/// cap.
+const NetworkInstance& anaheim_heavy() {
+  static const NetworkInstance inst = [] {
+    NetworkInstance scaled = anaheim();
+    for (Commodity& com : scaled.commodities) com.demand *= 1.175;
+    return scaled;
+  }();
+  return inst;
+}
+
 const NetworkInstance& grid() {
   static const NetworkInstance inst =
       std::get<NetworkInstance>(gen::generate_sized("grid-bpr", 10, 2.0, 7));
@@ -61,11 +73,13 @@ void fw_slice(benchmark::State& state, const NetworkInstance& inst,
 }
 
 void bush_to_gap(benchmark::State& state, const NetworkInstance& inst,
-                 double tol) {
+                 double tol,
+                 FlowObjective objective = FlowObjective::kBeckmann) {
   const int saved = max_threads_setting();
   set_max_threads(1);
   EquilibriumRequest req;
   req.backend = EquilibriumBackend::kBush;
+  req.objective = objective;
   req.bush.rel_gap_tol = tol;
   double gap = 0.0;
   int iters = 0;
@@ -97,6 +111,12 @@ void BM_AssignAnaheimBushGap10(benchmark::State& state) {
   bush_to_gap(state, anaheim(), 1e-10);
 }
 BENCHMARK(BM_AssignAnaheimBushGap10)->Unit(benchmark::kMillisecond);
+
+// The system optimum (MOP's first step) on the bush backend.
+void BM_AssignAnaheimBushTotalCost(benchmark::State& state) {
+  bush_to_gap(state, anaheim_heavy(), 1e-10, FlowObjective::kTotalCost);
+}
+BENCHMARK(BM_AssignAnaheimBushTotalCost)->Unit(benchmark::kMillisecond);
 
 // ---- generated grid-bpr (multicommodity grid) --------------------------
 

@@ -21,7 +21,6 @@ std::size_t bush_scratch_bytes(const SolverWorkspace::BushScratch& bw) {
   std::size_t bytes = vec_bytes(bw.pos) + vec_bytes(bw.dmin) +
                       vec_bytes(bw.dmax) + vec_bytes(bw.pmin) +
                       vec_bytes(bw.pmax) + vec_bytes(bw.indeg) +
-                      vec_bytes(bw.queue) + vec_bytes(bw.chain) +
                       vec_bytes(bw.total_flow) + vec_bytes(bw.seg_max) +
                       vec_bytes(bw.seg_min) + vec_bytes(bw.state);
   for (const OriginBush& b : bw.state) bytes += b.footprint_bytes();

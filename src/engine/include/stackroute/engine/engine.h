@@ -64,10 +64,8 @@ struct SolveRequest {
   /// kOptimum, kMop and kStrategy ignore this field: their solves run on
   /// path equalization (pe), so a kMop chain answers with the same bytes
   /// whichever backend it names. MOP and LLF read pe's path decomposition,
-  /// and bush is not yet a drop-in for MOP: on synthetic Anaheim its
-  /// total-cost solve stops at its iteration cap on 2 of 5 demand points
-  /// over 0.8-1.3x (relative gap 4.6e-6 and 6.9e-4), and at 1.175x its
-  /// per-destination split gives a beta 0.012 below pe's.
+  /// and bush is not yet a drop-in for MOP: on synthetic Anaheim at 1.175x
+  /// its per-destination split gives a beta 0.012 below pe's.
   EquilibriumBackend backend = EquilibriumBackend::kPathEqualization;
   /// Optional per-request budget (inactive by default = no limits). Armed
   /// per request — the deadline starts when the solve does.

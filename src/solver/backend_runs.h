@@ -4,9 +4,9 @@
 // A run is one seed + iterate pass of one backend. It expects the frame to
 // have validated the instance and compiled the effective latencies into
 // ws.table, counts its work into whatever counter sink is installed, and
-// takes its iteration cap, deadline and stall_window from `gate`. `warm` is
-// the caller's payload, already matched to the backend by tag (null =
-// cold); the run checks that the payload fits the instance and reports in
+// takes its iteration cap and deadline from `gate`. `warm` is the
+// caller's payload, already matched to the backend by tag (null = cold);
+// the run checks that the payload fits the instance and reports in
 // `used_warm` whether it actually started from it, which is what arms the
 // frame's single cold retry.
 #pragma once

@@ -147,11 +147,13 @@ std::uint64_t build_initial_bush(const Graph& g, const NetworkInstance& inst,
 }
 
 /// Min/max path labels over the bush, in topological order. The max tree
-/// is restricted to flow-carrying edges (the paths flow can be shifted
-/// off). Labels are only written for nodes in b.order, so the shared
-/// nv-sized scratch needs no full clear between origins.
+/// runs over every bush edge (the longest-path label U that improve_bush
+/// admits against), or over flow-carrying edges only when `used_only` is
+/// set (the paths flow can be shifted off). Labels are only written for
+/// nodes in b.order, so the shared nv-sized scratch needs no full clear
+/// between origins.
 void compute_trees(const Graph& g, const OriginBush& b, BushScratch& bw,
-                   std::span<const double> costs, bool want_max) {
+                   std::span<const double> costs, bool used_only) {
   const CsrAdjacency& in = g.in_csr();
   for (NodeId v : b.order) {
     const auto vi = static_cast<std::size_t>(v);
@@ -174,7 +176,7 @@ void compute_trees(const Graph& g, const OriginBush& b, BushScratch& bw,
         bw.dmin[vi] = bw.dmin[ui] + c;
         bw.pmin[vi] = arc.edge;
       }
-      if (want_max && b.flow[e] > 0.0 && bw.dmax[ui] > -kInf &&
+      if ((!used_only || b.flow[e] > 0.0) && bw.dmax[ui] > -kInf &&
           bw.dmax[ui] + c > bw.dmax[vi]) {
         bw.dmax[vi] = bw.dmax[ui] + c;
         bw.pmax[vi] = arc.edge;
@@ -183,67 +185,19 @@ void compute_trees(const Graph& g, const OriginBush& b, BushScratch& bw,
   }
 }
 
-/// Recomputes b.order (and bw.pos) with Kahn's algorithm over the current
-/// edge set. Returns false — leaving b.order/bw.pos untouched — when a
-/// cycle is found, which the caller handles by reverting its additions.
-bool kahn_reorder(const Graph& g, OriginBush& b, BushScratch& bw) {
-  const auto nv = static_cast<std::size_t>(g.num_nodes());
-  const auto ne = static_cast<std::size_t>(g.num_edges());
-  const CsrAdjacency& out = g.out_csr();
-
-  bw.indeg.assign(nv, -1);  // -1 = not incident to the bush
-  bw.indeg[static_cast<std::size_t>(b.origin)] = 0;
-  for (std::size_t e = 0; e < ne; ++e) {
-    if (!b.in_bush[e]) continue;
-    const Edge& ed = g.edge(static_cast<EdgeId>(e));
-    const auto ti = static_cast<std::size_t>(ed.tail);
-    const auto hi = static_cast<std::size_t>(ed.head);
-    if (bw.indeg[ti] < 0) bw.indeg[ti] = 0;
-    if (bw.indeg[hi] < 0) bw.indeg[hi] = 0;
-  }
-  std::size_t members = 0;
-  bw.queue.clear();
-  for (std::size_t v = 0; v < nv; ++v) {
-    if (bw.indeg[v] >= 0) ++members;
-  }
-  for (std::size_t e = 0; e < ne; ++e) {
-    if (b.in_bush[e]) {
-      ++bw.indeg[static_cast<std::size_t>(g.edge(static_cast<EdgeId>(e)).head)];
-    }
-  }
-  for (std::size_t v = 0; v < nv; ++v) {
-    if (bw.indeg[v] == 0) bw.queue.push_back(static_cast<NodeId>(v));
-  }
-
-  bw.chain.clear();  // reused as the output order
-  for (std::size_t head = 0; head < bw.queue.size(); ++head) {
-    const NodeId v = bw.queue[head];
-    bw.chain.push_back(v);
-    for (const CsrAdjacency::Arc& arc : out.arcs_of(v)) {
-      if (!b.in_bush[static_cast<std::size_t>(arc.edge)]) continue;
-      if (--bw.indeg[static_cast<std::size_t>(arc.target)] == 0) {
-        bw.queue.push_back(arc.target);
-      }
-    }
-  }
-  if (bw.chain.size() != members) return false;  // cycle
-
-  b.order.assign(bw.chain.begin(), bw.chain.end());
-  for (std::size_t v = 0; v < nv; ++v) bw.pos[v] = -1;
-  for (std::size_t i = 0; i < b.order.size(); ++i) {
-    bw.pos[static_cast<std::size_t>(b.order[i])] = static_cast<std::int32_t>(i);
-  }
-  return true;
-}
-
-/// One bush-improvement pass: drop zero-flow edges (never the min-tree
-/// edge or a node's last in-edge, so every reachable node keeps a path
-/// from the origin), add strictly cost-improving edges, and re-sort.
-/// Returns true when the edge set changed.
+/// One bush-improvement pass (Dial's Algorithm B): drop zero-flow edges
+/// (never the min-tree edge or a node's last in-edge, so every reachable
+/// node keeps a path from the origin), then add every edge e = (t, h)
+/// with U[t] + c_e < U[h], U being the longest-path label over all bush
+/// edges. Costs are >= 0, so every kept edge has U[t] <= U[h] (and
+/// fl(U[t] + c) >= U[t] keeps that true in floating point) while every
+/// added one has U[t] < U[h]: sorting by (U, old position) is a
+/// topological order of the new edge set, and no addition can close a
+/// cycle. Returns true when the edge set changed.
 bool improve_bush(const Graph& g, OriginBush& b, BushScratch& bw,
                   std::span<const double> costs) {
   const auto ne = static_cast<std::size_t>(g.num_edges());
-  compute_trees(g, b, bw, costs, /*want_max=*/false);
+  compute_trees(g, b, bw, costs, /*used_only=*/false);
 
   for (NodeId v : b.order) bw.indeg[static_cast<std::size_t>(v)] = 0;
   for (std::size_t e = 0; e < ne; ++e) {
@@ -262,26 +216,29 @@ bool improve_bush(const Graph& g, OriginBush& b, BushScratch& bw,
     dropped = true;
   }
 
-  bw.seg_min.clear();  // reused as the list of added edges
+  bool added = false;
   for (std::size_t e = 0; e < ne; ++e) {
     if (b.in_bush[e]) continue;
     const Edge& ed = g.edge(static_cast<EdgeId>(e));
     const auto ti = static_cast<std::size_t>(ed.tail);
     const auto hi = static_cast<std::size_t>(ed.head);
-    if (bw.pos[ti] < 0 || bw.pos[hi] < 0) continue;
-    const double slack = kAddEps * (1.0 + std::fabs(bw.dmin[hi]));
-    if (bw.dmin[ti] + costs[e] < bw.dmin[hi] - slack) {
+    if (bw.pos[ti] < 0 || bw.pos[hi] < 0 || !(bw.dmax[ti] > -kInf)) continue;
+    const double slack = kAddEps * (1.0 + std::fabs(bw.dmax[hi]));
+    if (bw.dmax[ti] + costs[e] < bw.dmax[hi] - slack) {
       b.in_bush[e] = 1;
-      bw.seg_min.push_back(static_cast<EdgeId>(e));
+      added = true;
     }
   }
 
-  if (bw.seg_min.empty()) return dropped;  // drops keep the old order valid
-  if (!kahn_reorder(g, b, bw)) {
-    // A cycle can only come from the additions (drops are monotone): back
-    // them out and try again next outer iteration at evolved costs.
-    for (EdgeId e : bw.seg_min) b.in_bush[static_cast<std::size_t>(e)] = 0;
-    return dropped;
+  if (!added) return dropped;  // drops keep the old order valid
+  std::sort(b.order.begin(), b.order.end(), [&](NodeId a, NodeId c) {
+    const auto ia = static_cast<std::size_t>(a);
+    const auto ic = static_cast<std::size_t>(c);
+    if (bw.dmax[ia] != bw.dmax[ic]) return bw.dmax[ia] < bw.dmax[ic];
+    return bw.pos[ia] < bw.pos[ic];
+  });
+  for (std::size_t i = 0; i < b.order.size(); ++i) {
+    bw.pos[static_cast<std::size_t>(b.order[i])] = static_cast<std::int32_t>(i);
   }
   return true;
 }
@@ -294,7 +251,7 @@ bool equilibrate_pass(const Graph& g, const LatencyTable& table,
                       FlowObjective objective, OriginBush& b,
                       BushScratch& bw, std::span<double> costs,
                       std::uint64_t& shifts) {
-  compute_trees(g, b, bw, costs, /*want_max=*/true);
+  compute_trees(g, b, bw, costs, /*used_only=*/true);
   bool moved = false;
   for (std::size_t idx = b.order.size(); idx-- > 0;) {
     const NodeId v = b.order[idx];
@@ -523,8 +480,6 @@ EquilibriumResult detail::bush_run(const NetworkInstance& inst,
   std::uint64_t rebuilds = 0;
   result.rel_gap = kInf;
   result.status = SolveStatus::kIterLimit;  // until proven otherwise
-  double best_gap = kInf;
-  int since_improved = 0;
 
   for (int iter = 1; iter <= kMaxIters; ++iter) {
     if (gate.over_iters(iter - 1)) break;  // budget cap below kMaxIters
@@ -584,15 +539,6 @@ EquilibriumResult detail::bush_run(const NetworkInstance& inst,
     if (!std::isfinite(result.rel_gap)) {
       result.status = SolveStatus::kNumericFailure;
       break;
-    }
-    if (gate.budget().stall_window > 0) {
-      if (result.rel_gap < best_gap) {
-        best_gap = result.rel_gap;
-        since_improved = 0;
-      } else if (++since_improved >= gate.budget().stall_window) {
-        result.status = SolveStatus::kStalled;
-        break;
-      }
     }
     if (result.rel_gap <= opts.rel_gap_tol) {
       result.status = SolveStatus::kConverged;

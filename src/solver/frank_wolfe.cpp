@@ -134,8 +134,6 @@ EquilibriumResult detail::fw_run(const NetworkInstance& inst,
   const bool tracing = obs::convergence() != nullptr;
   result.rel_gap = kInf;
   result.status = SolveStatus::kIterLimit;  // until proven otherwise
-  double best_gap = kInf;
-  int since_improved = 0;
 
   for (int iter = 1; iter <= kMaxIters; ++iter) {
     if (gate.over_iters(iter - 1)) break;  // budget cap below kMaxIters
@@ -163,15 +161,6 @@ EquilibriumResult detail::fw_run(const NetworkInstance& inst,
     if (!std::isfinite(result.rel_gap)) {
       result.status = SolveStatus::kNumericFailure;
       break;
-    }
-    if (gate.budget().stall_window > 0) {
-      if (result.rel_gap < best_gap) {
-        best_gap = result.rel_gap;
-        since_improved = 0;
-      } else if (++since_improved >= gate.budget().stall_window) {
-        result.status = SolveStatus::kStalled;
-        break;
-      }
     }
     if (result.rel_gap <= opts.rel_gap_tol) {
       result.status = SolveStatus::kConverged;
@@ -208,18 +197,13 @@ EquilibriumResult detail::fw_run(const NetworkInstance& inst,
       };
       auto dg_affine = [&](double th) {
         ++ls_evals;
-        const std::span<const double> a = table.affine_slopes();
-        const std::span<const double> b = table.affine_intercepts();
-        const bool marginal = objective == FlowObjective::kTotalCost;
         const std::size_t n = ws.nonzero.size();
         double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
         std::size_t j = 0;
         const auto term = [&](std::size_t lane_e) {
           const double d = ws.direction[lane_e];
           const double x = result.edge_flow[lane_e] + th * d;
-          double c = a[lane_e] * x + b[lane_e];
-          if (marginal) c += x * a[lane_e];
-          return d * c;
+          return d * edge_cost_at(table, lane_e, x, objective);
         };
         for (; j + 4 <= n; j += 4) {
           acc0 += term(static_cast<std::size_t>(ws.nonzero[j]));

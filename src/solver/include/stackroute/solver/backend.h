@@ -85,10 +85,9 @@ struct EquilibriumRequest {
   FrankWolfeOptions frank_wolfe;
   BushOptions bush;
   /// The solve's resource limits, whichever backend runs: the only
-  /// iteration cap (equalization steps / FW iterations / bush iterations),
-  /// wall-clock deadline, opt-in stall detection. Inactive by default; see
-  /// status.h. Pass an armed budget to share one deadline across several
-  /// solves.
+  /// iteration cap (equalization steps / FW iterations / bush iterations)
+  /// and the wall-clock deadline. Inactive by default; see status.h. Pass
+  /// an armed budget to share one deadline across several solves.
   SolveBudget budget;
 };
 

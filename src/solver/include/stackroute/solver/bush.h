@@ -7,10 +7,12 @@
 // iteration measures the relative gap ((c·f − SPTT)/c·f, identical to the
 // Frank–Wolfe gap) with one full-graph Dijkstra per origin — parallelized
 // across origins on the existing thread pool — then sequentially, origin
-// by origin, (a) improves the bush (drops zero-flow edges, adds strictly
-// cost-improving edges, re-topological-sorts) and (b) equilibrates it with
-// Newton flow shifts from the max-cost to the min-cost path segment below
-// their divergence node. Shifts re-evaluate the touched edge costs
+// by origin, (a) improves the bush (drops zero-flow edges, adds each edge
+// that is strictly shorter than the longest bush path to its head — the
+// longest-label rule, under which no addition can close a cycle — and
+// re-sorts the nodes by that label) and (b) equilibrates it with Newton
+// flow shifts from the max-cost to the min-cost path segment below their
+// divergence node. Shifts re-evaluate the touched edge costs
 // immediately, so the method reaches gaps near machine precision where
 // Frank–Wolfe's O(1/k) tail stalls — the reason this backend exists. For
 // kTotalCost the Newton step slope is 2·ℓ' plus a finite-difference

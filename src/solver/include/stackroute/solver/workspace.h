@@ -61,12 +61,10 @@ struct SolverWorkspace {
   struct BushScratch {
     std::vector<std::int32_t> pos;     // node -> position in topo order
     std::vector<double> dmin;          // min-path cost from origin, per node
-    std::vector<double> dmax;          // max used-path cost from origin
+    std::vector<double> dmax;          // max-path cost from origin
     std::vector<EdgeId> pmin;          // min-tree parent edge, per node
     std::vector<EdgeId> pmax;          // max-tree parent edge, per node
-    std::vector<std::int32_t> indeg;   // Kahn in-degrees / bush in-degrees
-    std::vector<NodeId> queue;         // Kahn FIFO scratch
-    std::vector<NodeId> chain;         // Kahn output order scratch
+    std::vector<std::int32_t> indeg;   // bush in-degrees (drop rule)
     std::vector<double> total_flow;    // summed origin flows, by EdgeId
     std::vector<EdgeId> seg_max;       // max-segment edges of one shift
     std::vector<EdgeId> seg_min;       // min-segment edges of one shift

@@ -511,8 +511,6 @@ EquilibriumResult detail::assign_run(const NetworkInstance& inst,
     }
 
     const bool tracing = obs::convergence() != nullptr;
-    double best_spread = kInf;
-    int since_improved = 0;
     bool out_of_budget = false;
     for (int sweep = 1; sweep <= kMaxSweeps && !out_of_budget; ++sweep) {
       obs::ScopedSpan sweep_span("equalize_sweep");
@@ -553,15 +551,6 @@ EquilibriumResult detail::assign_run(const NetworkInstance& inst,
       if (spread <= opts.tol) {
         result.status = SolveStatus::kConverged;
         break;
-      }
-      if (gate.budget().stall_window > 0) {
-        if (spread < best_spread) {
-          best_spread = spread;
-          since_improved = 0;
-        } else if (++since_improved >= gate.budget().stall_window) {
-          result.status = SolveStatus::kStalled;
-          break;
-        }
       }
     }
   } catch (const NumericError&) {

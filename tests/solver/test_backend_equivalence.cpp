@@ -14,6 +14,7 @@
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "stackroute/equilibrium/network.h"
@@ -22,6 +23,7 @@
 #include "stackroute/obs/counters.h"
 #include "stackroute/obs/trace.h"
 #include "stackroute/sweep/runner.h"
+#include "stackroute/sweep/scenario.h"
 #include "stackroute/util/error.h"
 #include "stackroute/util/fault.h"
 #include "stackroute/util/numeric.h"
@@ -268,6 +270,75 @@ TEST(Bush, CountersReportShiftsAndRebuilds) {
   }
   EXPECT_GT(sink.bush_shifts, 0u);
   EXPECT_GT(sink.gap_checks, 0u);
+}
+
+/// Synthetic Anaheim (416 nodes / 914 links / 380 OD pairs) with every OD
+/// demand scaled by `factor`.
+NetworkInstance anaheim_at(double factor) {
+  NetworkInstance inst = std::get<NetworkInstance>(sweep::load_instance_file(
+      sweep::locate_data_file("examples/instances/Anaheim_net.tntp")));
+  for (Commodity& com : inst.commodities) com.demand *= factor;
+  return inst;
+}
+
+// The system optimum on the bush backend reaches 1e-10 and pe's objective
+// at the two 0.8-1.3x ramp points whose cost-improving edges point backward
+// in some bush's order — the case an admission rule that can close a cycle
+// gets stuck on at the iteration cap.
+TEST(Bush, TotalCostConvergesOnAnaheim) {
+  for (const double factor : {0.925, 1.175}) {
+    const NetworkInstance inst = anaheim_at(factor);
+    const EquilibriumResult bush =
+        solve_equilibrium(inst, request(kBush, FlowObjective::kTotalCost));
+    EXPECT_EQ(bush.status, SolveStatus::kConverged) << "factor " << factor;
+    EXPECT_LE(bush.rel_gap, 1e-10) << "factor " << factor;
+    const EquilibriumResult pe = solve_equilibrium(
+        inst, request(EquilibriumBackend::kPathEqualization,
+                      FlowObjective::kTotalCost));
+    ASSERT_TRUE(solve_ok(pe.status));
+    EXPECT_LE(std::fabs(bush.objective - pe.objective),
+              1e-9 * std::fabs(pe.objective))
+        << "factor " << factor;
+  }
+}
+
+// Every published bush is acyclic with its stored order as the witness:
+// each node listed once, the origin first, pos[tail] < pos[head] on every
+// bush edge, and flow only on bush edges.
+TEST(Bush, PublishedBushesAreTopological) {
+  for (const double factor : {0.925, 1.175}) {
+    const NetworkInstance inst = anaheim_at(factor);
+    SolverWorkspace ws;
+    EquilibriumWarmState warm;
+    const EquilibriumResult r =
+        solve_equilibrium(inst, {}, request(kBush, FlowObjective::kTotalCost),
+                          ws, nullptr, &warm);
+    ASSERT_TRUE(solve_ok(r.status)) << "factor " << factor;
+    ASSERT_FALSE(warm.bush.bushes.empty());
+    const Graph& g = inst.graph;
+    for (const OriginBush& b : warm.bush.bushes) {
+      std::vector<int> pos(static_cast<std::size_t>(g.num_nodes()), -1);
+      for (std::size_t i = 0; i < b.order.size(); ++i) {
+        const auto v = static_cast<std::size_t>(b.order[i]);
+        ASSERT_EQ(pos[v], -1) << "node " << v << " listed twice";
+        pos[v] = static_cast<int>(i);
+      }
+      ASSERT_FALSE(b.order.empty());
+      EXPECT_EQ(b.order.front(), b.origin);
+      ASSERT_EQ(b.in_bush.size(), static_cast<std::size_t>(g.num_edges()));
+      for (std::size_t e = 0; e < b.in_bush.size(); ++e) {
+        if (!b.in_bush[e]) {
+          EXPECT_EQ(b.flow[e], 0.0) << "flow off the bush, edge " << e;
+          continue;
+        }
+        const Edge& ed = g.edge(static_cast<EdgeId>(e));
+        const int pt = pos[static_cast<std::size_t>(ed.tail)];
+        const int ph = pos[static_cast<std::size_t>(ed.head)];
+        EXPECT_GE(pt, 0) << "edge " << e;
+        EXPECT_LT(pt, ph) << "origin " << b.origin << ", edge " << e;
+      }
+    }
+  }
 }
 
 TEST(BackendWarmState, SwitchingBackendsDropsPayloads) {

@@ -36,10 +36,9 @@
 //   backend       "pe" | "fw" | "bush" equilibrium backend on networks
 //                 (default: the server's --backend flag, itself pe); read
 //                 by op=equilibrium only — optimum, mop and strategy
-//                 always solve on pe, which MOP and LLF need for its path
-//                 decomposition and because bush's optimum solve still
-//                 stops at its iteration cap on some Anaheim-scale
-//                 points (see SolveRequest::backend in engine/engine.h)
+//                 always solve on pe, whose path decomposition MOP and
+//                 LLF read (see SolveRequest::backend in
+//                 engine/engine.h)
 //   method        legacy spelling of "backend" ("path" means pe); when a
 //                 request carries both, backend wins
 //   deadline_ms   per-request wall-clock budget
