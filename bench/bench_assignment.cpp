@@ -12,11 +12,16 @@
 // rel_gap counter), and that row doubles as the machine-speed
 // calibration for gating the bush rows in BENCH_assignment.json, so what
 // CI actually checks is "bush time per FW-slice time", clock-free.
+//
+// The MOP rows time one cold β_M point on Anaheim (optimum, per-origin
+// free flows, induced verification) per backend. Every row runs the
+// solvers on one thread; the JSON context says so ("solver_threads").
 #include <benchmark/benchmark.h>
 
 #include <variant>
 
 #include "bench_main.h"
+#include "stackroute/core/mop.h"
 #include "stackroute/gen/registry.h"
 #include "stackroute/network/instance.h"
 #include "stackroute/solver/backend.h"
@@ -45,6 +50,21 @@ const NetworkInstance& anaheim_heavy() {
   }();
   return inst;
 }
+
+/// Anaheim at 1.05x the file's OD demand: the middle of the β_M ramp.
+const NetworkInstance& anaheim_mid() {
+  static const NetworkInstance inst = [] {
+    NetworkInstance scaled = anaheim();
+    for (Commodity& com : scaled.commodities) com.demand *= 1.05;
+    return scaled;
+  }();
+  return inst;
+}
+
+[[maybe_unused]] const bool kSolverThreadsStamped = [] {
+  benchmark::AddCustomContext("solver_threads", "1");
+  return true;
+}();
 
 const NetworkInstance& grid() {
   static const NetworkInstance inst =
@@ -117,6 +137,36 @@ void BM_AssignAnaheimBushTotalCost(benchmark::State& state) {
   bush_to_gap(state, anaheim_heavy(), 1e-10, FlowObjective::kTotalCost);
 }
 BENCHMARK(BM_AssignAnaheimBushTotalCost)->Unit(benchmark::kMillisecond);
+
+// One cold β_M point: MOP's optimum and induced solves on `backend`.
+void mop_point(benchmark::State& state, EquilibriumBackend backend) {
+  const int saved = max_threads_setting();
+  set_max_threads(1);
+  MopOptions opts;
+  opts.backend = backend;
+  double beta = 0.0;
+  double residual = 0.0;
+  for (auto _ : state) {
+    const MopResult r = mop(anaheim_mid(), opts);
+    if (!solve_ok(r.status)) state.SkipWithError("MOP failed to converge");
+    beta = r.beta;
+    residual = r.induced_residual;
+    benchmark::DoNotOptimize(r.induced_cost);
+  }
+  set_max_threads(saved);
+  state.counters["beta"] = beta;
+  state.counters["residual"] = residual;
+}
+
+void BM_MopAnaheimPe(benchmark::State& state) {
+  mop_point(state, EquilibriumBackend::kPathEqualization);
+}
+BENCHMARK(BM_MopAnaheimPe)->Unit(benchmark::kMillisecond);
+
+void BM_MopAnaheimBush(benchmark::State& state) {
+  mop_point(state, EquilibriumBackend::kBush);
+}
+BENCHMARK(BM_MopAnaheimBush)->Unit(benchmark::kMillisecond);
 
 // ---- generated grid-bpr (multicommodity grid) --------------------------
 

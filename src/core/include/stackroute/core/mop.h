@@ -2,24 +2,31 @@
 // minimum Leader portion β_G inducing the optimum on an arbitrary network,
 // plus the optimal strategy, in polynomial time.
 //
-// Pipeline per the proof of Theorem 2.1:
+// Pipeline per the proof of Theorem 2.1, with steps 2-4 run once per
+// origin (the commodities sharing a source):
 //   1. Compute the optimum flow O and fix edge costs ℓ_e(o_e).
-//   2. Per commodity i, find the shortest-path ("tight") subgraph w.r.t.
-//      those costs (footnote 5: Dijkstra from s_i and to t_i).
-//   3. The free flow r'_i is the largest part of commodity i's optimum
-//      routable entirely inside its tight subgraph — a max-flow with
-//      capacities equal to commodity i's optimum edge flows.
+//   2. Per origin, find the shortest-path ("tight") subgraph w.r.t. those
+//      costs: one Dijkstra from the origin; e = (u,v) is tight when
+//      d(u) + ℓ_e(o_e) <= d(v) + tight_tol (footnote 5).
+//   3. The free flow is the largest part of the origin's optimum routable
+//      entirely inside its tight subgraph — one max flow with capacities
+//      equal to the origin's optimum edge flows, into a super-sink fed by
+//      one edge per commodity capped at its demand r_i. Commodity i's
+//      free flow r'_i is the flow on its edge (an origin with a single
+//      commodity flows to that commodity's sink instead).
 //   4. The Leader controls everything else: exactly the optimum flow on
 //      every non-shortest path. β_G = 1 − (Σ_i r'_i)/r.
 //   5. The followers' selfish routing of the free flow under the preload
 //      reproduces O (uniqueness of equilibrium edge flows), so
 //      C(S+T) = C(O): approximation guarantee exactly 1.
 //
-// k-commodity note: step 3 uses each commodity's own optimum edge flows as
-// capacities (a valid joint decomposition). For k = 1 this is exactly the
-// minimum; for k > 1 a different decomposition of the *total* optimum
-// could in principle free more flow, so β is an upper bound on the
-// minimum portion that is tight in all single-commodity cases.
+// k-commodity note: all commodities from one origin share its tight
+// subgraph, and every tight path from the origin to a sink costs that
+// sink's distance, so step 3 does not depend on how the origin's optimum
+// splits across its destinations. It does depend on how the total optimum
+// splits across origins, which is not unique for k > 1: β is exact for
+// k = 1 and an upper bound on the minimum portion otherwise (a bound
+// independent of that split needs a multicommodity-flow LP).
 #pragma once
 
 #include <vector>
@@ -39,7 +46,8 @@ struct MopCommodity {
   double free_flow = 0.0;       // r'_i
   double controlled_flow = 0.0; // r_i − r'_i
   double shortest_cost = 0.0;   // L_i := dist(s_i, t_i) under ℓ_e(o_e)
-  std::vector<char> tight_edges;  // shortest-path subgraph mask
+  /// Tight-subgraph mask of s_i's origin (shared by its commodities).
+  std::vector<char> tight_edges;
 };
 
 struct MopResult {
@@ -83,19 +91,24 @@ struct MopOptions {
   /// Skip the induced-equilibrium verification solve (benches that only
   /// need β can save the second solve).
   bool verify_induced = true;
+  /// Backend of the optimum and the induced solves: pe or bush, which
+  /// publish the per-origin optimum flows step 3 reads. fw throws.
+  EquilibriumBackend backend = EquilibriumBackend::kPathEqualization;
 };
 
 MopResult mop(const NetworkInstance& inst, const MopOptions& opts = {});
 
 /// Workspace/warm-start variant: reuses the caller's workspace across the
-/// optimum solve, every tight-subgraph Dijkstra pair and the induced
-/// verification solve. Both solves are path-equalization solve_equilibrium
-/// calls (MOP needs the optimum's path decomposition), each warm-started
-/// from and publishing back to its own state: `optimum_warm` for step 1,
-/// `induced_warm` for step 5 (null = cold, nothing published). Chained
-/// β_G evaluations along a sweep axis pass the previous point's states;
-/// an ill-fitting payload degrades to a cold solve, never to a wrong
-/// answer. When step 5 does not run, `induced_warm` is cleared.
+/// optimum solve, every tight-subgraph Dijkstra and the induced
+/// verification solve. Both solves are solve_equilibrium calls on
+/// opts.backend, each warm-started from and publishing back to its own
+/// state: `optimum_warm` for step 1, `induced_warm` for step 5 (null =
+/// cold, nothing published). Step 3 reads the per-origin optimum flows
+/// from the payload step 1 published (a local one when `optimum_warm` is
+/// null). Chained β_G evaluations along a sweep axis pass the previous
+/// point's states; an ill-fitting payload degrades to a cold solve, never
+/// to a wrong answer. When step 5 does not run, `induced_warm` is
+/// cleared.
 MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
               SolverWorkspace& ws, EquilibriumWarmState* optimum_warm,
               EquilibriumWarmState* induced_warm);

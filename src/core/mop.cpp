@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <utility>
+#include <vector>
 
+#include "stackroute/latency/families.h"
 #include "stackroute/network/dijkstra.h"
 #include "stackroute/network/maxflow.h"
 #include "stackroute/obs/counters.h"
@@ -13,6 +16,33 @@
 #include "stackroute/util/numeric.h"
 
 namespace stackroute {
+
+namespace {
+
+/// Overwrites `out` with origin `oi`'s optimum edge flows, read from the
+/// payload the optimum solve published: bush's per-origin flows (its
+/// bushes follow group_by_origin's order), or pe's path decomposition
+/// summed over the origin's commodities.
+void origin_flow(const std::vector<OriginGroup>& origins, std::size_t oi,
+                 const EquilibriumWarmState& warm, std::vector<double>& out) {
+  std::fill(out.begin(), out.end(), 0.0);
+  if (warm.backend == EquilibriumBackend::kBush) {
+    // An optimum that failed numerically publishes no bushes.
+    SR_REQUIRE(warm.bush.bushes.size() == origins.size(),
+               "MOP: the bush optimum solve left no per-origin flows");
+    const OriginBush& b = warm.bush.bushes[oi];
+    SR_ASSERT(b.origin == origins[oi].origin, "bush order differs from MOP's");
+    std::copy(b.flow.begin(), b.flow.end(), out.begin());
+    return;
+  }
+  for (std::size_t i : origins[oi].commodities) {
+    for (const PathFlow& pf : warm.paths.commodity_paths[i]) {
+      for (EdgeId e : pf.path) out[static_cast<std::size_t>(e)] += pf.flow;
+    }
+  }
+}
+
+}  // namespace
 
 MopResult mop(const NetworkInstance& inst, const MopOptions& opts) {
   // One workspace across the optimum solve, the cost fix-up and the
@@ -24,12 +54,18 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts) {
 MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
               SolverWorkspace& ws, EquilibriumWarmState* optimum_warm,
               EquilibriumWarmState* induced_warm) {
+  if (opts.backend == EquilibriumBackend::kFrankWolfe) {
+    throw Error(
+        "MOP runs on the pe or bush backend: fw publishes no per-origin "
+        "optimum flows");
+  }
   obs::ScopedCounterDelta tally;
   obs::ScopedSpan span("mop");
   inst.validate();
   // Arm the budget once so the optimum solve and the induced verification
   // solve draw on a single shared deadline.
   EquilibriumRequest req;
+  req.backend = opts.backend;
   req.objective = FlowObjective::kTotalCost;
   req.budget = opts.budget.armed();
   const Graph& g = inst.graph;
@@ -38,10 +74,15 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
   const double r = inst.total_demand();
 
   MopResult result;
-  // (1) Optimum flow and the induced edge costs ℓ_e(o_e).
+  // (1) Optimum flow and the induced edge costs ℓ_e(o_e). Step 3 reads
+  // the per-origin flows from the published payload, so publish into a
+  // local one when the caller keeps none.
+  EquilibriumWarmState local_warm;
+  EquilibriumWarmState& opt_payload =
+      optimum_warm != nullptr ? *optimum_warm : local_warm;
   const EquilibriumResult opt = [&] {
     obs::ScopedSpan phase("mop_optimum");
-    return solve_equilibrium(inst, {}, req, ws, optimum_warm, optimum_warm);
+    return solve_equilibrium(inst, {}, req, ws, optimum_warm, &opt_payload);
   }();
   result.status = worst_status(result.status, opt.status);
   result.spread = std::fmax(result.spread, opt.spread);
@@ -59,54 +100,107 @@ MopResult mop(const NetworkInstance& inst, const MopOptions& opts,
   result.leader_edge_flow.assign(ne, 0.0);
   result.commodities.resize(k);
 
-  // Per-commodity scratch, hoisted out of the loop (and the Dijkstra pairs
-  // below run on the workspace's reused tree/heap buffers).
-  std::vector<double> commodity_opt(ne);
-  std::vector<double> caps(ne);
-  std::vector<double> leader_i(ne);
+  const std::vector<OriginGroup> origins = group_by_origin(inst);
+  // Step 3's flow network. An origin's lone commodity flows to its own
+  // sink in the graph itself: through a super-sink its last augmenting
+  // path would round differently, moving single-commodity answers in the
+  // last bits. When some origin has several commodities, they share a
+  // super-sink fed by one edge t_i -> super-sink per commodity, edge
+  // ne + i.
+  const bool shared = origins.size() < k;
+  Graph with_sink;
+  NodeId super_sink = kInvalidNode;
+  if (shared) {
+    with_sink = g;
+    super_sink = with_sink.add_node();
+    const LatencyPtr free_edge = make_constant(0.0);
+    for (const Commodity& com : inst.commodities) {
+      with_sink.add_edge(com.sink, super_sink, free_edge);
+    }
+  }
+  const Graph& net = shared ? with_sink : g;
+  // Per-origin scratch, hoisted out of the loop (the Dijkstras run on the
+  // workspace's reused tree/heap buffers).
+  std::vector<double> flow(ne);
+  std::vector<double> caps(static_cast<std::size_t>(net.num_edges()), 0.0);
+  std::vector<double> leader(caps.size(), 0.0);
+  std::vector<char> tight(ne);
   {
     obs::ScopedSpan tight_span("mop_tight_subgraphs");
-    for (std::size_t i = 0; i < k; ++i) {
-      const Commodity& com = inst.commodities[i];
-      MopCommodity& trace = result.commodities[i];
+    for (std::size_t oi = 0; oi < origins.size(); ++oi) {
+      const OriginGroup& o = origins[oi];
+      origin_flow(origins, oi, opt_payload, flow);
 
-      // (2) Tight subgraph of commodity i under optimum costs; the forward
-      // tree the mask computation leaves behind carries dist(s_i, t_i).
-      shortest_path_edge_mask_into(g, com.source, com.sink, opt_costs,
-                                   MopOptions::tight_tol, ws.dijkstra,
-                                   ws.dijkstra_rev, trace.tight_edges);
-      trace.shortest_cost =
-          ws.dijkstra.tree.dist[static_cast<std::size_t>(com.sink)];
+      // (2) The origin's tight subgraph: every edge on some shortest path
+      // from it under the optimum costs. All its commodities share it.
+      const ShortestPathTree& tree =
+          dijkstra(g, o.origin, opt_costs, ws.dijkstra);
+      count_dijkstra(ws.dijkstra);
+      for (std::size_t e = 0; e < ne; ++e) {
+        const Edge& edge = g.edge(static_cast<EdgeId>(e));
+        const double du = tree.dist[static_cast<std::size_t>(edge.tail)];
+        tight[e] = std::isfinite(du) &&
+                   du + opt_costs[e] <=
+                       tree.dist[static_cast<std::size_t>(edge.head)] +
+                           MopOptions::tight_tol;
+        caps[e] = tight[e] ? flow[e] : 0.0;
+      }
 
-      // Commodity i's own optimum edge flows, used as max-flow capacities.
-      std::fill(commodity_opt.begin(), commodity_opt.end(), 0.0);
-      for (const PathFlow& pf : opt.commodity_paths[i]) {
-        for (EdgeId e : pf.path) {
-          commodity_opt[static_cast<std::size_t>(e)] += pf.flow;
+      // (3) Free flow: one max flow from the origin inside its tight
+      // subgraph, capped by the origin's optimum flows. Commodity i's
+      // free flow r'_i is the max flow's value for a lone commodity, and
+      // otherwise the flow on its super-sink edge, capped at r_i.
+      const bool lone = o.commodities.size() == 1;
+      const NodeId sink =
+          lone ? inst.commodities[o.commodities[0]].sink : super_sink;
+      double demand = 0.0;
+      for (std::size_t i : o.commodities) {
+        const Commodity& com = inst.commodities[i];
+        MopCommodity& trace = result.commodities[i];
+        trace.shortest_cost = tree.dist[static_cast<std::size_t>(com.sink)];
+        trace.tight_edges = tight;
+        if (!lone) caps[ne + i] = com.demand;
+        demand += com.demand;
+      }
+      const MaxFlowResult mf =
+          max_flow(net, o.origin, sink, caps, demand, MopOptions::flow_tol);
+
+      // (4) The Leader controls the rest of the origin's optimum.
+      for (std::size_t e = 0; e < ne; ++e) {
+        leader[e] = std::fmax(0.0, flow[e] - mf.edge_flow[e]);
+        result.leader_edge_flow[e] += leader[e];
+      }
+      for (std::size_t i : o.commodities) {
+        MopCommodity& trace = result.commodities[i];
+        trace.free_flow = lone ? mf.value : mf.edge_flow[ne + i];
+        trace.controlled_flow = inst.commodities[i].demand - trace.free_flow;
+        if (!lone) leader[ne + i] = std::fmax(0.0, trace.controlled_flow);
+      }
+      // Per-commodity path lists: on the super-sink a path's last edge
+      // names its commodity.
+      const auto split = [&](std::span<const double> edge_flow,
+                             std::vector<PathFlow> MopCommodity::*paths) {
+        for (PathFlow& pf : decompose_flow(net, o.origin, sink, edge_flow,
+                                           MopOptions::flow_tol)) {
+          std::size_t i = o.commodities[0];
+          if (!lone) {
+            i = static_cast<std::size_t>(pf.path.back()) - ne;
+            pf.path.pop_back();
+          }
+          (result.commodities[i].*paths).push_back(std::move(pf));
         }
+      };
+      split(mf.edge_flow, &MopCommodity::free_paths);
+      split(leader, &MopCommodity::leader_paths);
+      if (!lone) {
+        for (std::size_t i : o.commodities) caps[ne + i] = leader[ne + i] = 0.0;
       }
-      // (3) Free flow: max flow inside the tight subgraph.
-      for (std::size_t e = 0; e < ne; ++e) {
-        caps[e] = trace.tight_edges[e] ? commodity_opt[e] : 0.0;
-      }
-      const MaxFlowResult mf = max_flow(g, com.source, com.sink, caps,
-                                        com.demand, MopOptions::flow_tol);
-      trace.free_flow = mf.value;
-      trace.controlled_flow = com.demand - mf.value;
-      trace.free_paths = decompose_flow(g, com.source, com.sink, mf.edge_flow,
-                                        MopOptions::flow_tol);
-
-      // (4) Leader controls the remainder of commodity i's optimum.
-      for (std::size_t e = 0; e < ne; ++e) {
-        leader_i[e] = std::fmax(0.0, commodity_opt[e] - mf.edge_flow[e]);
-        result.leader_edge_flow[e] += leader_i[e];
-      }
-      trace.leader_paths = decompose_flow(g, com.source, com.sink, leader_i,
-                                          MopOptions::flow_tol);
-      result.free_flow_total += trace.free_flow;
     }
   }
 
+  for (const MopCommodity& c : result.commodities) {
+    result.free_flow_total += c.free_flow;
+  }
   result.beta = 1.0 - result.free_flow_total / r;
   // Clamp roundoff at the extremes.
   result.beta = std::fmin(1.0, std::fmax(0.0, result.beta));

@@ -274,6 +274,7 @@ SolveResponse Engine::solve_on(SolveSession* session,
         resp.optimum_cost = resp.cost;
         break;
       case RequestKind::kMop:
+        eval.set_backend(req.backend);
         resp.cost = eval.stackelberg_cost();
         resp.beta = eval.beta();
         resp.optimum_cost = eval.optimum_cost();

@@ -89,6 +89,7 @@ const MopResult& Evaluation::mop_result() {
   if (!mop_) {
     MopOptions opts;
     opts.budget = budget_;
+    opts.backend = backend_;
     if (session_ != nullptr) {
       mop_ = mop(network(), opts, session_->ws, &session_->optimum,
                  &session_->induced);

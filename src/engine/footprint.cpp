@@ -52,8 +52,7 @@ std::size_t footprint_bytes(const DijkstraWorkspace& ws) {
 
 std::size_t footprint_bytes(const SolverWorkspace& ws) {
   std::size_t bytes = sizeof(ws) + ws.table.footprint_bytes() +
-                      footprint_bytes(ws.dijkstra) +
-                      footprint_bytes(ws.dijkstra_rev) + vec_bytes(ws.costs) +
+                      footprint_bytes(ws.dijkstra) + vec_bytes(ws.costs) +
                       vec_bytes(ws.direction) + vec_bytes(ws.aon_flow) +
                       vec_bytes(ws.nonzero) + vec_bytes(ws.dists) +
                       vec_bytes(ws.paths) + vec_bytes(ws.path_scratch) +

@@ -56,16 +56,17 @@ struct SolveRequest {
   /// Leader fraction for kStrategy (SCALE/LLF read it; Aloof ignores it).
   double alpha = std::numeric_limits<double>::quiet_NaN();
   StrategyKind strategy = StrategyKind::kAloof;
-  /// Network equilibrium backend for kEquilibrium (see solver/backend.h;
-  /// parallel links always water-fill). Warm chaining is backend-tagged:
-  /// consecutive requests on one session warm-start each other only while
-  /// they keep naming the same backend.
+  /// Network equilibrium backend for kEquilibrium and kMop (see
+  /// solver/backend.h; parallel links always water-fill). Warm chaining is
+  /// backend-tagged: consecutive requests on one session warm-start each
+  /// other only while they keep naming the same backend.
   ///
-  /// kOptimum, kMop and kStrategy ignore this field: their solves run on
-  /// path equalization (pe), so a kMop chain answers with the same bytes
-  /// whichever backend it names. MOP and LLF read pe's path decomposition,
-  /// and bush is not yet a drop-in for MOP: on synthetic Anaheim at 1.175x
-  /// its per-destination split gives a beta 0.012 below pe's.
+  /// kMop runs its optimum and induced solves on pe or bush; fw is an
+  /// error, since MOP reads per-origin optimum flows and FW publishes
+  /// edge totals only. For k > 1 commodities pe and bush may answer with
+  /// different β: it depends on how the optimum splits across origins,
+  /// which is not unique. kOptimum and kStrategy ignore this field and
+  /// run on pe, whose path decomposition LLF reads.
   EquilibriumBackend backend = EquilibriumBackend::kPathEqualization;
   /// Optional per-request budget (inactive by default = no limits). Armed
   /// per request — the deadline starts when the solve does.

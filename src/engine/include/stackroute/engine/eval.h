@@ -43,12 +43,13 @@ class Evaluation {
   /// solve; an inactive budget changes nothing.
   void set_budget(const SolveBudget& budget) { budget_ = budget.armed(); }
 
-  /// Selects the equilibrium backend network Nash solves dispatch through
-  /// (see solver/backend.h; the default is path equalization). Call
-  /// before the first solve — the session's warm payload is
-  /// backend-tagged, so a mid-chain switch re-warms from cold. MOP, the
-  /// optimum and the baseline strategies always run on path equalization:
-  /// MOP and LLF need its path decomposition.
+  /// Selects the equilibrium backend network Nash and MOP solves dispatch
+  /// through (see solver/backend.h; the default is path equalization).
+  /// Call before the first solve — the session's warm payloads are
+  /// backend-tagged, so a mid-chain switch re-warms from cold. MOP throws
+  /// on fw, which publishes no per-origin optimum flows. The plain optimum
+  /// and the baseline strategies always run on path equalization: LLF
+  /// needs its path decomposition.
   void set_backend(EquilibriumBackend backend) { backend_ = backend; }
 
   /// Worst SolveStatus over every solve run so far. Degraded solves still

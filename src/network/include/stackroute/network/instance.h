@@ -41,6 +41,16 @@ struct NetworkInstance {
   void validate() const;
 };
 
+/// Commodities sharing a source: the unit the origin-based algorithms
+/// work on (the bush backend's bushes, MOP's per-origin step 3).
+struct OriginGroup {
+  NodeId origin = kInvalidNode;
+  std::vector<std::size_t> commodities;  // indices, in commodity order
+};
+
+/// The instance's commodities grouped by source, ascending by source.
+std::vector<OriginGroup> group_by_origin(const NetworkInstance& inst);
+
 /// Views an s–t parallel-links system as a two-node network; link i becomes
 /// EdgeId i, so flows translate index-for-index.
 NetworkInstance to_network(const ParallelLinks& m);

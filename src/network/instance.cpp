@@ -1,7 +1,9 @@
 #include "stackroute/network/instance.h"
 
+#include <algorithm>
 #include <cmath>
 #include <queue>
+#include <utility>
 
 #include "stackroute/util/error.h"
 #include "stackroute/util/numeric.h"
@@ -70,6 +72,25 @@ void NetworkInstance::validate() const {
     SR_REQUIRE(reachable(graph, c.source, c.sink),
                "commodity sink unreachable from source");
   }
+}
+
+std::vector<OriginGroup> group_by_origin(const NetworkInstance& inst) {
+  const std::size_t k = inst.commodities.size();
+  std::vector<std::pair<NodeId, std::size_t>> keyed(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    keyed[i] = {inst.commodities[i].source, i};
+  }
+  std::stable_sort(
+      keyed.begin(), keyed.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<OriginGroup> groups;
+  for (const auto& [origin, idx] : keyed) {
+    if (groups.empty() || groups.back().origin != origin) {
+      groups.push_back(OriginGroup{origin, {}});
+    }
+    groups.back().commodities.push_back(idx);
+  }
+  return groups;
 }
 
 NetworkInstance to_network(const ParallelLinks& m) {

@@ -30,30 +30,6 @@ constexpr int kMaxInner = 16;
 
 using BushScratch = SolverWorkspace::BushScratch;
 
-/// Commodities sharing a source, solved as one bush.
-struct OriginGroup {
-  NodeId origin = kInvalidNode;
-  std::vector<std::size_t> commodities;  // indices, in commodity order
-};
-
-std::vector<OriginGroup> group_by_origin(const NetworkInstance& inst) {
-  const std::size_t k = inst.commodities.size();
-  std::vector<std::pair<NodeId, std::size_t>> keyed(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    keyed[i] = {inst.commodities[i].source, i};
-  }
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<OriginGroup> groups;
-  for (const auto& [origin, idx] : keyed) {
-    if (groups.empty() || groups.back().origin != origin) {
-      groups.push_back(OriginGroup{origin, {}});
-    }
-    groups.back().commodities.push_back(idx);
-  }
-  return groups;
-}
-
 /// The Newton denominator's per-edge slope: d/dx of the equilibration cost.
 /// Beckmann equilibrates ℓ (slope ℓ'); total cost equilibrates the marginal
 /// ℓ + x·ℓ', whose slope is 2ℓ' + x·ℓ''. The table has no second

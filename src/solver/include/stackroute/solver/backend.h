@@ -11,14 +11,18 @@
 // their tolerances; they differ in what they return and where they are
 // fast:
 //
-//   kPathEqualization  explicit path decomposition per commodity (what MOP
-//                      and the Wardrop checker need); linear convergence;
-//                      the default — golden sweep tables are frozen on it.
+//   kPathEqualization  explicit path decomposition per commodity (what LLF
+//                      and the Wardrop checker need; MOP sums it per
+//                      origin); linear convergence; the default — golden
+//                      sweep tables are frozen on it.
 //   kFrankWolfe        edge flows only; O(1/k) — cheap loose gaps, stalls
 //                      at tight ones; kept as cross-check and baseline.
+//                      MOP refuses it: it publishes no per-origin flows.
 //   kBush              edge flows via per-origin acyclic bushes (Dial's
 //                      Algorithm B style); reaches 1e-10-and-below gaps on
-//                      city-scale TNTP networks where FW stalls.
+//                      city-scale TNTP networks where FW stalls. Its warm
+//                      payload holds each origin's flows, what MOP's
+//                      step 3 needs.
 //
 // The backends are private run functions behind solve_equilibrium; their
 // headers (traffic_assignment.h, frank_wolfe.h, bush.h) only hold each

@@ -39,8 +39,6 @@ struct SolverWorkspace {
   LatencyTable table;             // compiled effective latencies
   DijkstraWorkspace dijkstra;     // shortest-path buffers (serial contexts;
                                   // parallel fan-outs use thread_local ones)
-  DijkstraWorkspace dijkstra_rev;  // reverse-tree buffers (MOP's
-                                   // tight-subgraph step)
   std::vector<double> costs;      // per-edge costs, maintained incrementally
   std::vector<double> direction;  // Frank–Wolfe: AON flow minus current flow
   std::vector<double> aon_flow;   // Frank–Wolfe: all-or-nothing edge flows

@@ -1,6 +1,6 @@
 // Algorithm MOP (Corollary 2.3 / §5): the Fig. 7 ε-family with its caption
-// values, classic Braess, consistency with OpTop on two-node networks, and
-// the k-commodity extension.
+// values, classic Braess, consistency with OpTop on two-node networks, the
+// k-commodity extension, and the backends MOP runs on.
 #include "stackroute/core/mop.h"
 
 #include <gtest/gtest.h>
@@ -8,8 +8,11 @@
 #include <cmath>
 
 #include "stackroute/core/optop.h"
+#include "stackroute/gen/generators.h"
 #include "stackroute/latency/families.h"
+#include "stackroute/network/dijkstra.h"
 #include "stackroute/network/generators.h"
+#include "stackroute/network/maxflow.h"
 #include "stackroute/util/error.h"
 #include "stackroute/util/numeric.h"
 #include "stackroute/util/rng.h"
@@ -194,6 +197,112 @@ TEST(Mop, WarmStartAgreesWithColdAndHarvestsState) {
   ASSERT_EQ(optimum_warm.paths.demands.size(), inst.commodities.size());
   EXPECT_DOUBLE_EQ(optimum_warm.paths.demands[0], inst.commodities[0].demand);
   (void)first;
+}
+
+/// β with step 3 run once per commodity, each capped by its own part of
+/// the pe optimum's path decomposition — the bound MOP computed before it
+/// solved step 3 per origin.
+double per_commodity_beta(const NetworkInstance& inst) {
+  EquilibriumRequest req;
+  req.objective = FlowObjective::kTotalCost;
+  const EquilibriumResult opt = solve_equilibrium(inst, req);
+  const std::size_t ne = static_cast<std::size_t>(inst.graph.num_edges());
+  std::vector<double> costs(ne);
+  for (std::size_t e = 0; e < ne; ++e) {
+    costs[e] = inst.graph.edge(static_cast<EdgeId>(e))
+                   .latency->value(opt.edge_flow[e]);
+  }
+  double free = 0.0;
+  for (std::size_t i = 0; i < inst.commodities.size(); ++i) {
+    const Commodity& com = inst.commodities[i];
+    const std::vector<char> tight = shortest_path_edge_mask(
+        inst.graph, com.source, com.sink, costs, MopOptions::tight_tol);
+    std::vector<double> caps(ne, 0.0);
+    for (const PathFlow& pf : opt.commodity_paths[i]) {
+      for (EdgeId e : pf.path) {
+        if (tight[static_cast<std::size_t>(e)]) {
+          caps[static_cast<std::size_t>(e)] += pf.flow;
+        }
+      }
+    }
+    free += max_flow(inst.graph, com.source, com.sink, caps, com.demand,
+                     MopOptions::flow_tol)
+                .value;
+  }
+  return 1.0 - free / inst.total_demand();
+}
+
+TEST(Mop, PerOriginFreesAtLeastThePerCommodityFlow) {
+  // One origin with four destinations plus a second origin, on a one-way
+  // grid: the origin's destinations share its tight subgraph.
+  for (std::uint64_t seed : {21, 22, 23}) {
+    Rng rng(seed);
+    NetworkInstance inst = grid_city(rng, 4, 4, 1.0);
+    inst.commodities = {Commodity{0, 15, 1.2}, Commodity{0, 11, 0.7},
+                        Commodity{0, 14, 0.9}, Commodity{0, 10, 0.5},
+                        Commodity{1, 15, 0.8}};
+    const MopResult r = mop(inst);
+    EXPECT_LE(r.beta, per_commodity_beta(inst) + 1e-12) << "seed " << seed;
+    EXPECT_LE(r.induced_residual, 1e-9) << "seed " << seed;
+    EXPECT_NEAR(r.induced_cost, r.optimum_cost, 1e-9 * r.optimum_cost);
+    // The per-commodity path lists still decompose the optimum.
+    std::vector<double> sum(r.optimum_edge_flow.size(), 0.0);
+    for (std::size_t i = 0; i < inst.commodities.size(); ++i) {
+      const MopCommodity& c = r.commodities[i];
+      double routed = 0.0;
+      for (const auto* paths : {&c.free_paths, &c.leader_paths}) {
+        for (const PathFlow& pf : *paths) {
+          EXPECT_TRUE(is_path(inst.graph, inst.commodities[i].source,
+                              inst.commodities[i].sink, pf.path));
+          routed += pf.flow;
+          for (EdgeId e : pf.path) sum[static_cast<std::size_t>(e)] += pf.flow;
+        }
+      }
+      EXPECT_NEAR(routed, inst.commodities[i].demand, 1e-7)
+          << "commodity " << i;
+    }
+    EXPECT_LE(max_abs_diff(sum, r.optimum_edge_flow), 1e-7);
+  }
+}
+
+TEST(Mop, BushAgreesWithPeForOneCommodity) {
+  // For k = 1, β does not depend on how the optimum is decomposed, so the
+  // two backends that can run MOP must agree on it.
+  std::vector<NetworkInstance> cases;
+  for (std::uint64_t seed : {1, 2, 3}) {
+    Rng rng(seed);
+    cases.push_back(random_layered_dag(rng, 4, 3, 0.5, 1.5));
+    gen::SeriesParallelSpec sp;
+    sp.depth = 4;
+    cases.push_back(gen::make_series_parallel(sp, seed));
+    gen::GridSpec grid;
+    grid.rows = grid.cols = 5;
+    grid.demand = 2.0;
+    cases.push_back(gen::make_grid(grid, seed));
+  }
+  MopOptions bush;
+  bush.backend = EquilibriumBackend::kBush;
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    ASSERT_EQ(cases[c].commodities.size(), 1u);
+    const MopResult pe_r = mop(cases[c]);
+    const MopResult bush_r = mop(cases[c], bush);
+    EXPECT_TRUE(solve_ok(bush_r.status)) << "case " << c;
+    EXPECT_NEAR(bush_r.beta, pe_r.beta, 1e-6) << "case " << c;
+    EXPECT_LE(bush_r.induced_residual, 1e-6) << "case " << c;
+  }
+}
+
+TEST(Mop, FrankWolfeBackendIsRefused) {
+  MopOptions fw;
+  fw.backend = EquilibriumBackend::kFrankWolfe;
+  try {
+    (void)mop(braess_classic(), fw);
+    FAIL() << "MOP ran on fw";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("pe"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("bush"), std::string::npos) << msg;
+  }
 }
 
 }  // namespace

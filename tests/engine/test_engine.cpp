@@ -5,8 +5,10 @@
 
 #include <cmath>
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "stackroute/core/mop.h"
 #include "stackroute/engine/engine.h"
 #include "stackroute/gen/registry.h"
 #include "stackroute/latency/families.h"
@@ -139,27 +141,58 @@ TEST(EngineTest, WarmAndColdAgreeToTolerance) {
 // MOP's solves always run on path equalization, so a session's kMop chain
 // answers with the same bytes whichever backend its requests name (see
 // SolveRequest::backend; the anaheim-beta benchmark sends "bush").
-TEST(EngineTest, MopChainAnswersIdenticallyForAnyNamedBackend) {
-  const auto run_chain = [](EquilibriumBackend backend) {
+TEST(EngineTest, MopChainRunsOnTheNamedBackend) {
+  const std::vector<double> demands = {0.8, 1.0, 1.2, 1.5, 1.9};
+  const auto run_chain = [&](EquilibriumBackend backend) {
     Engine eng;
     const std::uint64_t s = eng.open_session();
-    std::vector<std::string> lines;
-    for (double demand : {0.8, 1.0, 1.2, 1.5, 1.9}) {
+    std::vector<SolveResponse> out;
+    for (double demand : demands) {
       SolveRequest req = request(RequestKind::kMop, grid_instance(demand), s);
       req.backend = backend;
-      SolveResponse resp = eng.solve(req);
-      EXPECT_TRUE(resp.ok) << resp.error;
-      resp.millis = 0.0;  // the only non-deterministic field
-      lines.push_back(serve::response_json(resp));
+      out.push_back(eng.solve(req));
     }
-    return lines;
+    return out;
   };
-  const std::vector<std::string> pe =
+
+  // pe: the same bytes as direct mop() calls chained on one workspace.
+  const std::vector<SolveResponse> pe =
       run_chain(EquilibriumBackend::kPathEqualization);
-  ASSERT_EQ(pe.size(), 5u);
-  EXPECT_NE(pe[1].find("\"warm\":true"), std::string::npos) << pe[1];
-  EXPECT_EQ(run_chain(EquilibriumBackend::kBush), pe);
-  EXPECT_EQ(run_chain(EquilibriumBackend::kFrankWolfe), pe);
+  SolverWorkspace ws;
+  EquilibriumWarmState optimum_warm;
+  EquilibriumWarmState induced_warm;
+  for (std::size_t p = 0; p < demands.size(); ++p) {
+    const MopResult m =
+        mop(std::get<NetworkInstance>(grid_instance(demands[p])), MopOptions{},
+            ws, &optimum_warm, &induced_warm);
+    ASSERT_TRUE(pe[p].ok) << pe[p].error;
+    EXPECT_EQ(pe[p].warm, p > 0);
+    EXPECT_EQ(pe[p].beta, m.beta) << "point " << p;
+    EXPECT_EQ(pe[p].cost, m.induced_cost) << "point " << p;
+    EXPECT_EQ(pe[p].optimum_cost, m.optimum_cost) << "point " << p;
+    EXPECT_EQ(pe[p].status, m.status) << "point " << p;
+  }
+
+  // bush: warm from point 2 on, and its Leader still induces the optimum.
+  const std::vector<SolveResponse> bush = run_chain(EquilibriumBackend::kBush);
+  for (std::size_t p = 0; p < demands.size(); ++p) {
+    ASSERT_TRUE(bush[p].ok) << bush[p].error;
+    EXPECT_EQ(bush[p].status, SolveStatus::kConverged) << "point " << p;
+    EXPECT_EQ(bush[p].warm, p > 0) << "point " << p;
+    EXPECT_GE(bush[p].beta, 0.0);
+    EXPECT_LE(bush[p].beta, 1.0);
+    EXPECT_NEAR(bush[p].cost, bush[p].optimum_cost,
+                1e-9 * bush[p].optimum_cost)
+        << "point " << p;
+  }
+
+  // fw publishes no per-origin flows: refused, naming the backends that
+  // can run MOP.
+  for (const SolveResponse& r : run_chain(EquilibriumBackend::kFrankWolfe)) {
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("pe"), std::string::npos) << r.error;
+    EXPECT_NE(r.error.find("bush"), std::string::npos) << r.error;
+  }
 }
 
 TEST(EngineTest, TableCacheServesValueEqualInstances) {

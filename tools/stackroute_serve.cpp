@@ -35,10 +35,10 @@
 //   strategy      "aloof" | "scale" | "llf" (op=strategy, default aloof)
 //   backend       "pe" | "fw" | "bush" equilibrium backend on networks
 //                 (default: the server's --backend flag, itself pe); read
-//                 by op=equilibrium only — optimum, mop and strategy
-//                 always solve on pe, whose path decomposition MOP and
-//                 LLF read (see SolveRequest::backend in
-//                 engine/engine.h)
+//                 by op=equilibrium and op=mop — mop refuses fw, which
+//                 publishes no per-origin flows; optimum and strategy
+//                 always solve on pe, whose path decomposition LLF reads
+//                 (see SolveRequest::backend in engine/engine.h)
 //   method        legacy spelling of "backend" ("path" means pe); when a
 //                 request carries both, backend wins
 //   deadline_ms   per-request wall-clock budget

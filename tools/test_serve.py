@@ -229,8 +229,9 @@ def main():
     )
 
     # --- backend selection: "backend" is canonical, "method" the legacy
-    # spelling, bush solves for real, and unknown names are per-line
-    # errors that do not kill the stream ----------------------------------
+    # spelling, bush solves for real (equilibrium and mop), and unknown
+    # names and a mop on fw are per-line errors that do not kill the
+    # stream -----------------------------------------------------------
     backend_stream = "\n".join(
         [
             '{"id":1,"op":"equilibrium","generate":"grid-bpr",'
@@ -242,12 +243,15 @@ def main():
             '{"id":4,"op":"equilibrium","generate":"grid-bpr",'
             '"method":"simplex"}',
             '{"id":5,"op":"equilibrium","generate":"grid-bpr"}',
+            '{"id":6,"op":"mop","generate":"grid-bpr","backend":"bush"}',
+            '{"id":7,"op":"mop","generate":"grid-bpr","backend":"fw"}',
+            '{"id":8,"op":"mop","generate":"grid-bpr"}',
         ]
     )
     proc = run(binary, stdin=backend_stream)
     expect(proc.returncode == 2, "backend-exit", f"exit {proc.returncode}")
     resps = parse_lines(proc.stdout)
-    expect(len(resps) == 5, "backend-count", f"{len(resps)} responses")
+    expect(len(resps) == 8, "backend-count", f"{len(resps)} responses")
     for idx, name in [(0, "backend"), (1, "method")]:
         r = resps[idx]
         expect(
@@ -270,6 +274,25 @@ def main():
         abs(resps[4]["cost"]), 1.0
     )
     expect(rel <= 1e-6, "backend-costs-agree", proc.stdout)
+    r = resps[5]
+    expect(
+        r["ok"] and r["status"] == "converged" and 0.0 <= r["beta"] <= 1.0,
+        "backend-mop-bush",
+        str(r),
+    )
+    r = resps[6]
+    expect(
+        not r["ok"]
+        and "pe" in r.get("error", "")
+        and "bush" in r.get("error", ""),
+        "backend-mop-fw-refused",
+        str(r),
+    )
+    expect(
+        resps[7]["ok"] and resps[7]["status"] == "converged",
+        "backend-mop-stream-survives",
+        str(resps[7]),
+    )
 
     # --backend sets the server-wide default; unknown names are usage
     # errors with exactly one usage block.
